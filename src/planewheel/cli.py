@@ -116,18 +116,28 @@ def _cmd_generate(args) -> int:
 
 def _node_limit(args) -> int:
     env = os.environ.get("PLANEWHEEL_NODE_LIMIT")
-    if env is not None:
-        return int(env)
-    return args.node_limit
+    if env is None:
+        limit = args.node_limit
+    else:
+        try:
+            limit = int(env)
+        except ValueError:
+            raise CliError(f"PLANEWHEEL_NODE_LIMIT must be an integer, got {env!r}", 2)
+    if limit < 0:
+        raise CliError(f"node limit must be >= 0, got {limit}", 2)
+    return limit
 
 
 def _cmd_solve(args) -> int:
     model = _model_from_args(args)
+    node_limit = _node_limit(args)
+    if not args.time_limit >= 0:
+        raise CliError(f"--time-limit must be >= 0, got {args.time_limit}", 2)
     cfg = solver.SolveConfig(
         mode=MODE_FLAGS[args.mode],
         enforce_class_size=args.enforce_class_size,
         enforce_triangle=args.enforce_triangle,
-        node_limit=_node_limit(args),
+        node_limit=node_limit,
         time_limit=args.time_limit,
         symmetry_breaking=not args.no_symmetry_breaking,
     )
@@ -144,12 +154,16 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    # enumerate_all checks k and case on its first step, inside the try
     try:
-        parts = list(enumerate_k3.enumerate_all(args.k, args.case))
+        if args.emit == "count":
+            total = enumerate_k3.count(args.k, args.case)  # streams, holds one partition at a time
+        else:
+            parts = list(enumerate_k3.enumerate_all(args.k, args.case))
     except ValueError as exc:
         raise CliError(str(exc), 2)
     if args.emit == "count":
-        _write(args.output, str(len(parts)))
+        _write(args.output, str(total))
     elif args.emit == "json":
         _write(args.output, json.dumps([p.to_json() for p in parts]))
     else:
@@ -209,6 +223,8 @@ def _cmd_criteria(args) -> int:
 
 def _cmd_export_lp(args) -> int:
     model = _model_from_args(args)
+    if args.m is not None and args.m < 1:
+        raise CliError(f"--m must be >= 1, got {args.m}", 2)
     m = args.m if args.m else model.n
     text = solver.export_lp(
         model, m, enforce_class_size=args.enforce_class_size, enforce_triangle=args.enforce_triangle

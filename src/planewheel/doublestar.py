@@ -10,7 +10,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from . import edgeorder
 from .partition import MODE_DOUBLE_STAR, Partition
 from .wheelgeom import (
     EdgeId,
@@ -19,6 +18,7 @@ from .wheelgeom import (
     edge,
     realize_coordinates,
     segments_cross,
+    wheel_tables,
 )
 
 
@@ -74,11 +74,7 @@ def halving_edges(model: WheelModel) -> tuple[list[EdgeId], list[EdgeId]]:
         for r, v in enumerate(vs):
             if (len(vs) - 1 - r) + ahead == n - 1:
                 radial.append(edge(0, v))
-    non_radial = [
-        e
-        for e in model.edges()
-        if e[0] != 0 and edgeorder.dist(model, e) == n
-    ]
+    non_radial = [e for e, d in wheel_tables(model).dist.items() if d == n]
     return radial, non_radial
 
 
@@ -87,9 +83,10 @@ def bad_halfplanes(model: WheelModel, ps: Optional[PointSet] = None) -> list[Bad
     if not non_radial:
         return []
     ps = ps or realize_coordinates(model)
+    tables = wheel_tables(model)
     out = []
     for h in non_radial:
-        s, t = edgeorder.arc_endpoints(model, h)
+        s, t = tables.arc_endpoints[h]
         arc = (s, *model.far_arc(h), t)
         p, q = ps.points[h[0]], ps.points[h[1]]
         a = q[1] - p[1]

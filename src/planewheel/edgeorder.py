@@ -11,11 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .wheelgeom import EdgeId, WheelModel, edge, is_bumpy
-
-RADIAL = "radial"
-BOUNDARY = "boundary"
-DIAGONAL = "diagonal"
+from .wheelgeom import (
+    BOUNDARY,
+    DIAGONAL,
+    RADIAL,
+    EdgeId,
+    WheelModel,
+    combinatorial_cross,
+    edge,
+    is_bumpy,
+    wheel_tables,
+)
 
 
 @dataclass(frozen=True)
@@ -49,9 +55,8 @@ def far_side_vertices(model: WheelModel, e: EdgeId) -> set[int]:
 
 
 def dist(model: WheelModel, e: EdgeId) -> int:
-    if e[0] == 0:
-        raise ValueError("dist undefined for radial edges")
-    return len(model.far_arc(e)) + 1
+    t = wheel_tables(model)
+    return t.dist[t.key(e, "dist undefined for radial edges")]
 
 
 def d_value(k: int, ell: int, i: int) -> int:
@@ -65,13 +70,8 @@ def d_value(k: int, ell: int, i: int) -> int:
 def arc_endpoints(model: WheelModel, e: EdgeId) -> tuple[int, int]:
     """Endpoints of a non-radial edge ordered so the far arc runs clockwise
     from the first to the second."""
-    a, b = e
-    if a == 0:
-        raise ValueError("radial edge")
-    ga, gb = model.group_of(a), model.group_of(b)
-    if ga == gb or (gb - ga) % model.k <= (model.k - 1) // 2:
-        return a, b
-    return b, a
+    t = wheel_tables(model)
+    return t.arc_endpoints[t.key(e, "radial edge")]
 
 
 def closer_than(model: WheelModel, e: EdgeId, f: EdgeId) -> bool:
@@ -82,8 +82,13 @@ def closer_than(model: WheelModel, e: EdgeId, f: EdgeId) -> bool:
         raise ValueError("closer-than is defined for non-radial edges only")
     if e == f:
         return False
-    closed = far_side_vertices(model, f) | set(f)
-    return e[0] in closed and e[1] in closed
+    t = wheel_tables(model)
+    f = t.key(f, "radial edge")
+    # the closed far side of f runs clockwise from its arc start s to s + dist
+    s = t.arc_endpoints[f][0]
+    d = t.dist[f]
+    h = t.hull_count
+    return (e[0] - s) % h <= d and (e[1] - s) % h <= d
 
 
 def maximal_edges(model: WheelModel, edges: Iterable[EdgeId]) -> set[EdgeId]:
@@ -98,8 +103,6 @@ def span(model: WheelModel, e: EdgeId, f: EdgeId) -> Span:
     Incomparable: the region containing v_0, cl(e+ ∩ f+).  Vertices follow
     from arc arithmetic; the edge set is every edge inside by convexity.
     """
-    from .wheelgeom import combinatorial_cross
-
     if e[0] == 0 or f[0] == 0:
         raise ValueError("span is defined for non-radial edges only")
     if e == f:
@@ -117,26 +120,17 @@ def span(model: WheelModel, e: EdgeId, f: EdgeId) -> Span:
         verts = (arc_e | set(e)) - arc_f
     else:
         verts = (hull - arc_e - arc_f) | {0}
-        shared = {model.group_of(e[0]), model.group_of(e[1])} & {
-            model.group_of(f[0]),
-            model.group_of(f[1]),
-        }
+        group_of = wheel_tables(model).group_of
+        shared = {group_of[e[0]], group_of[e[1]]} & {group_of[f[0]], group_of[f[1]]}
         if shared:
-            apex = frozenset(v for v in verts if v != 0 and model.group_of(v) in shared)
+            apex = frozenset(v for v in verts if v != 0 and group_of[v] in shared)
     vs = sorted(verts)
     es = frozenset(edge(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :])
     return Span(left_edge=e, right_edge=f, vertices=frozenset(verts), edges=es, apex=apex)
 
 
 def opposite_group_pairs(model: WheelModel) -> list[tuple[int, int]]:
-    k = model.k
-    half = (k - 1) // 2
-    out = []
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            if (j - i) % k in (half, half + 1):
-                out.append((i, j))
-    return out
+    return list(wheel_tables(model).opposite_pairs)
 
 
 class VertexRoles:
@@ -155,39 +149,34 @@ class VertexRoles:
                 self.centers[g] = vs[len(vs) // 2]
 
 
-def outmost_vertices(model: WheelModel) -> VertexRoles:
-    return VertexRoles(model)
-
-
 def is_special_wedge(model: WheelModel, e: EdgeId, f: EdgeId) -> Optional[frozenset[int]]:
     """Some(apex) iff e and f are non-crossing diagonals where one endpoint of
     each forms a consecutive outmost pair (last of group j, first of group
     j+1) and the remaining endpoints are inside vertices of the group opposite
     that pair."""
-    from .wheelgeom import combinatorial_cross
-
     ce, cf = classify_edge(model, e), classify_edge(model, f)
     if ce.kind != DIAGONAL or cf.kind != DIAGONAL:
         return None
     if combinatorial_cross(model, e, f) or e == f:
         return None
-    roles = outmost_vertices(model)
+    roles = VertexRoles(model)
+    group_of = wheel_tables(model).group_of
     k = model.k
     for a in e:
         for b in f:
             if a not in roles.outmost or b not in roles.outmost:
                 continue
             # a, b consecutive on the hull, in adjacent groups
-            if model.hull_succ(a) == b and model.group_of(a) != model.group_of(b):
-                j = model.group_of(a)
-            elif model.hull_succ(b) == a and model.group_of(a) != model.group_of(b):
-                j = model.group_of(b)
+            if model.hull_succ(a) == b and group_of[a] != group_of[b]:
+                j = group_of[a]
+            elif model.hull_succ(b) == a and group_of[a] != group_of[b]:
+                j = group_of[b]
             else:
                 continue
             opp = (j + (k + 1) // 2 - 1) % k + 1
             a2 = e[0] if e[1] == a else e[1]
             b2 = f[0] if f[1] == b else f[1]
-            if a2 in roles.inside and b2 in roles.inside and model.group_of(a2) == opp and model.group_of(b2) == opp:
+            if a2 in roles.inside and b2 in roles.inside and group_of[a2] == opp and group_of[b2] == opp:
                 return span(model, e, f).apex
     return None
 
@@ -195,34 +184,21 @@ def is_special_wedge(model: WheelModel, e: EdgeId, f: EdgeId) -> Optional[frozen
 def edges_of_distance(model: WheelModel, d: int) -> list[EdgeId]:
     """All non-radial edges of distance d, in clockwise circular order keyed
     by the far-arc start vertex (ties by end vertex)."""
-    h = model.hull_count
-    maxd = max(
-        len(model.far_arc(edge(a, b))) + 1 for a in range(1, h + 1) for b in range(a + 1, h + 1)
-    )
+    t = wheel_tables(model)
+    maxd = max(t.dist.values())
     if not 1 <= d <= maxd:
         raise ValueError(f"distance out of range 1..{maxd}: {d}")
-    out = []
-    for a in range(1, h + 1):
-        for b in range(a + 1, h + 1):
-            e = (a, b)
-            if len(model.far_arc(e)) + 1 == d:
-                s, t = arc_endpoints(model, e)
-                out.append((s, t, e))
-    out.sort(key=lambda x: (x[0], x[1]))
-    return [e for _, _, e in out]
+    return sorted((e for e, de in t.dist.items() if de == d), key=t.arc_endpoints.__getitem__)
 
 
 def distance_children(model: WheelModel, e: EdgeId) -> tuple[EdgeId, EdgeId]:
     """The two distance-(d-1) edges inside e's far region sharing an endpoint
     with e: one keeps the arc start, the other keeps the arc end."""
-    d = dist(model, e)
-    if d < 2:
+    t = wheel_tables(model)
+    children = t.children.get(e) or t.children.get(t.key(e, "dist undefined for radial edges"))
+    if children is None:
         raise ValueError("boundary edges have no children")
-    s, t = arc_endpoints(model, e)
-    h = model.hull_count
-    left = edge(s, (t - 2) % h + 1)  # shrink at the arc end
-    right = edge(s % h + 1, t)  # shrink at the arc start
-    return left, right
+    return children
 
 
 def forced_edge_template(model: WheelModel) -> dict[tuple[int, int], list[int]]:

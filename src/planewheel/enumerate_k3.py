@@ -11,7 +11,7 @@ from typing import Iterator
 
 from . import edgeorder
 from .partition import Partition
-from .wheelgeom import EdgeId, WheelModel, build_bumpy_wheel, edge
+from .wheelgeom import EdgeId, WheelModel, build_bumpy_wheel, edge, wheel_tables
 
 STAGE_BASE = "base"
 STAGE_BASE_EXTENDED = "base_extended"
@@ -210,13 +210,13 @@ def extend_full(pp: PartialPartition, choices) -> Partition:
     bits = tuple(int(b) for b in choices)
     if len(bits) != choice_length(k) or any(b not in (0, 1) for b in bits):
         raise ValueError(f"need a bit string of length {choice_length(k)}")
-    classes = [set(es) for es in pp.classes]
     covered = dict(pp.covered)
     d_top = 3 * (k - 1) // 2  # d_3, the lowest distance covered so far
+    tables = wheel_tables(model)
     by_dist: dict[int, list[EdgeId]] = {}
     for e in covered:
         if e[0] != 0:
-            by_dist.setdefault(edgeorder.dist(model, e), []).append(e)
+            by_dist.setdefault(tables.dist[e], []).append(e)
     for idx, d in enumerate(range(d_top - 1, 0, -1)):
         bit = bits[idx]
         parents = by_dist[d + 1]
@@ -226,17 +226,12 @@ def extend_full(pp: PartialPartition, choices) -> Partition:
             child = left if bit == 0 else right
             if child in covered:
                 raise ValueError(f"extension collision at {child}")
-            cls = covered[e]
-            classes[cls].add(child)
-            covered[child] = cls
+            covered[child] = covered[e]
             level.append(child)
         by_dist[d] = level
-    color = dict(covered)
-    all_edges = model.edges()
-    missing = [e for e in all_edges if e not in color]
-    if missing:
-        raise ValueError(f"extension left {len(missing)} edges uncovered")
-    return Partition(model=model, m=model.n, color=color)
+    if len(covered) != len(tables.edges):
+        raise ValueError(f"extension left {len(tables.edges) - len(covered)} edges uncovered")
+    return Partition(model=model, m=model.n, color=covered)
 
 
 def enumerate_all(k: int, case: str = "all") -> Iterator[Partition]:

@@ -7,15 +7,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import edgeorder
-from .wheelgeom import CrossingGraph, EdgeId, WheelModel, crossing_graph, edge, is_bumpy
+from .wheelgeom import (
+    BOUNDARY,
+    DIAGONAL,
+    CrossingGraph,
+    EdgeId,
+    WheelModel,
+    WheelTables,
+    crossing_graph,
+    edge,
+    is_bumpy,
+    wheel_tables,
+)
 
 MODE_SUBGRAPH = "subgraph"
 MODE_TREE = "spanning_tree"
 MODE_DOUBLE_STAR = "double_star"
-
-
-def lexicographic_edges(model: WheelModel) -> list[EdgeId]:
-    return model.edges()
 
 
 @dataclass(frozen=True)
@@ -25,16 +32,16 @@ class Partition:
     color: dict[EdgeId, int]
 
     def __post_init__(self):
-        es = self.model.edges()
-        if set(self.color) != set(es):
+        if self.color.keys() != wheel_tables(self.model).index.keys():
             raise ValueError("color map must cover every edge exactly once")
-        bad = [c for c in self.color.values() if not 0 <= c < self.m]
-        if bad:
+        colors = self.color.values()
+        if min(colors) < 0 or max(colors) >= self.m:
+            bad = [c for c in colors if not 0 <= c < self.m]
             raise ValueError(f"color out of range: {bad[0]}")
 
     def classes(self) -> list[list[EdgeId]]:
         out: list[list[EdgeId]] = [[] for _ in range(self.m)]
-        for e in self.model.edges():
+        for e in wheel_tables(self.model).edges:
             out[self.color[e]].append(e)
         return out
 
@@ -70,12 +77,10 @@ class AuditReport:
 
 
 def _class_plane(cg: CrossingGraph, es: list[EdgeId]) -> tuple[bool, list]:
-    idx = [cg.index[e] for e in es]
-    for i in range(len(idx)):
-        nbrs = cg.neighbor_indices(idx[i])
-        for j in range(i + 1, len(idx)):
-            if idx[j] in nbrs:
-                return False, [es[i], es[j]]
+    for i, e in enumerate(es):
+        for f in es[i + 1 :]:
+            if cg.crosses(e, f):
+                return False, [e, f]
     return True, []
 
 
@@ -160,18 +165,15 @@ def validate_double_stars(p: Partition, cg: CrossingGraph | None = None) -> Audi
     return rep
 
 
-def _maximal_diagonals(model: WheelModel, es: list[EdgeId]) -> set[EdgeId]:
-    diags = [e for e in es if edgeorder.classify_edge(model, e).kind == edgeorder.DIAGONAL]
-    return edgeorder.maximal_edges(model, diags)
+def _maximal_diagonals(model: WheelModel, t: WheelTables, es: list[EdgeId]) -> set[EdgeId]:
+    return edgeorder.maximal_edges(model, [e for e in es if t.kind[e] == DIAGONAL])
 
 
-def _pair_of_edge(model: WheelModel, e: EdgeId) -> tuple[int, int] | None:
+def _pair_of_edge(t: WheelTables, e: EdgeId) -> tuple[int, int] | None:
     """The opposite group pair an edge connects, if any."""
-    ga, gb = model.group_of(e[0]), model.group_of(e[1])
-    if ga == gb:
-        return None
+    ga, gb = t.group_of[e[0]], t.group_of[e[1]]
     pair = (ga, gb) if ga < gb else (gb, ga)
-    return pair if pair in set(edgeorder.opposite_group_pairs(model)) else None
+    return pair if pair in t.opposite_pairs else None
 
 
 def structural_audit(p: Partition, mode: str, cg: CrossingGraph | None = None) -> AuditReport:
@@ -180,108 +182,110 @@ def structural_audit(p: Partition, mode: str, cg: CrossingGraph | None = None) -
     hard failure upstream."""
     rep = AuditReport(mode=f"audit:{mode}")
     model = p.model
+    t = wheel_tables(model)
     classes = p.classes()
+    maxd = [_maximal_diagonals(model, t, es) for es in classes]
     nv = model.num_points
 
     if mode in (MODE_TREE, MODE_DOUBLE_STAR):
-        _audit_boundary_counts(rep, model, classes)
-        _audit_span_confinement(rep, model, classes)
-        _audit_distance_chain(rep, model, classes)
-        _audit_max_edge_uniqueness(rep, model, classes)
-        _audit_incomparable_sums(rep, model, classes, nv)
+        _audit_boundary_counts(rep, t, classes, maxd)
+        _audit_span_confinement(rep, t, classes, maxd)
+        _audit_distance_chain(rep, t, classes)
+        _audit_max_edge_uniqueness(rep, model, t, maxd)
+        _audit_incomparable_sums(rep, model, t, maxd, nv)
     elif mode == MODE_SUBGRAPH:
-        _audit_span_confinement(rep, model, classes)
-        _audit_incomparable_sums(rep, model, classes, nv)
+        _audit_span_confinement(rep, t, classes, maxd)
+        _audit_incomparable_sums(rep, model, t, maxd, nv)
         if is_bumpy(model):
-            _audit_forced_edges(rep, model, classes, nv)
+            _audit_forced_edges(rep, model, t, maxd, nv)
     return rep
 
 
-def _audit_boundary_counts(rep, model, classes):
+def _audit_boundary_counts(rep, t, classes, maxd):
     # one class holds a single boundary edge, the n-1 others two each
-    counts = []
-    for es in classes:
-        counts.append(
-            sum(1 for e in es if edgeorder.classify_edge(model, e).kind == edgeorder.BOUNDARY)
-        )
+    counts = [sum(1 for e in es if t.kind[e] == BOUNDARY) for es in classes]
     if sorted(counts) != [1] + [2] * (len(classes) - 1):
         rep.flag(f"boundary-edge counts per class {counts} != one 1 and rest 2")
     # the same class must hold a single maximal diagonal, all others two
-    mcounts = [len(_maximal_diagonals(model, es)) for es in classes]
+    mcounts = [len(m) for m in maxd]
     if sorted(mcounts) != [1] + [2] * (len(classes) - 1):
         rep.flag(f"maximal-diagonal counts per class {mcounts} != one 1 and rest 2")
 
 
-def _audit_span_confinement(rep, model, classes):
+def _audit_span_confinement(rep, t, classes, maxd):
     # a radial edge of a class never lies beyond a maximal diagonal of the class
+    h = t.hull_count
     for c, es in enumerate(classes):
-        maxd = _maximal_diagonals(model, es)
+        arcs = [(f, *t.far_arc[f]) for f in maxd[c]]
         for e in es:
             if e[0] != 0:
                 continue
             v = e[1]
-            for f in maxd:
-                if v in model.far_arc(f):
+            for f, start, length in arcs:
+                if (v - start) % h < length:
                     rep.flag(f"class {c}: radial {e} beyond maximal diagonal {f}")
 
 
-def _audit_distance_chain(rep, model, classes):
+def _audit_distance_chain(rep, t, classes):
     # every non-radial edge of distance d >= 2 continues with exactly one of
     # its two distance-(d-1) children in the same class
+    children = t.children
     for c, es in enumerate(classes):
         eset = set(es)
         for e in es:
-            if e[0] == 0 or edgeorder.dist(model, e) < 2:
+            pair = children.get(e)
+            if pair is None:
                 continue
-            left, right = edgeorder.distance_children(model, e)
+            left, right = pair
             hits = (left in eset) + (right in eset)
             if hits != 1:
                 rep.flag(f"class {c}: edge {e} continues with {hits} children, expected 1")
 
 
-def _audit_max_edge_uniqueness(rep, model, classes):
+def _audit_max_edge_uniqueness(rep, model, t, maxd):
     # per opposite pair and distance: at most one maximal diagonal overall;
     # for bumpy wheels exactly one for each of the top l distances
     seen: dict[tuple, list] = {}
-    for es in classes:
-        for e in _maximal_diagonals(model, es):
-            pair = _pair_of_edge(model, e)
+    for m in maxd:
+        for e in m:
+            pair = _pair_of_edge(t, e)
             if pair is not None:
-                seen.setdefault((pair, edgeorder.dist(model, e)), []).append(e)
+                seen.setdefault((pair, t.dist[e]), []).append(e)
     for key, es in seen.items():
         if len(es) > 1:
             rep.flag(f"pair/distance {key}: {len(es)} maximal diagonals {es}")
     if is_bumpy(model):
         ell = model.sizes[0]
-        for pair in edgeorder.opposite_group_pairs(model):
+        for pair in t.opposite_pairs:
             for i in range(1, ell + 1):
                 d = edgeorder.d_value(model.k, ell, i)
                 if (pair, d) not in seen:
                     rep.flag(f"pair {pair}: no maximal diagonal of distance d_{i}={d}")
 
 
-def _audit_incomparable_sums(rep, model, classes, nv):
+def _audit_incomparable_sums(rep, model, t, maxd, nv):
     # pairwise incomparable family: sum of distances <= 2n-1; any two maximal
     # incomparable members: sum <= 2n-2; on bumpy wheels index sums i+j >= l+1
     two_n = nv
-    for c, es in enumerate(classes):
-        maxd = sorted(_maximal_diagonals(model, es))
-        total = sum(edgeorder.dist(model, e) for e in maxd)
+    bumpy = is_bumpy(model)
+    for c, m in enumerate(maxd):
+        ms = sorted(m)
+        total = sum(t.dist[e] for e in ms)
         if total > two_n - 1:
             rep.flag(f"class {c}: maximal-diagonal distance sum {total} > {two_n - 1}")
-        for i, e in enumerate(maxd):
-            for f in maxd[i + 1 :]:
-                de, df = edgeorder.dist(model, e), edgeorder.dist(model, f)
+        for i, e in enumerate(ms):
+            for f in ms[i + 1 :]:
+                de, df = t.dist[e], t.dist[f]
                 if de + df > two_n - 2:
                     rep.flag(f"class {c}: dist({e})+dist({f}) = {de + df} > {two_n - 2}")
-                if is_bumpy(model):
+                if bumpy:
                     ell = model.sizes[0]
                     top = (model.k + 1) // 2 * ell
                     if (top - de) + (top - df) < ell + 1:
                         rep.flag(f"class {c}: index sum of {e},{f} below {ell + 1}")
 
 
-def _audit_forced_edges(rep, model, classes, nv):
+def _audit_forced_edges(rep, model, t, maxd, nv):
     """Forced-edge accounting on plane subgraph partitions of bumpy wheels:
     per opposite pair a selection of l maximal diagonals with distances at
     least d_1..d_l exists; one class carries one forced edge and the rest two;
@@ -289,22 +293,22 @@ def _audit_forced_edges(rep, model, classes, nv):
     ell = model.sizes[0]
     k = model.k
     class_of: dict[EdgeId, int] = {}
-    for c, es in enumerate(classes):
-        for e in _maximal_diagonals(model, es):
+    for c, m in enumerate(maxd):
+        for e in m:
             class_of[e] = c
 
     forced: list[tuple[EdgeId, int]] = []  # (edge, slot index i)
-    for pair in edgeorder.opposite_group_pairs(model):
+    for pair in t.opposite_pairs:
         cands = sorted(
-            (e for e in class_of if _pair_of_edge(model, e) == pair),
-            key=lambda e: (-edgeorder.dist(model, e), e),
+            (e for e in class_of if _pair_of_edge(t, e) == pair),
+            key=lambda e: (-t.dist[e], e),
         )
         if len(cands) < ell:
             rep.flag(f"pair {pair}: only {len(cands)} maximal diagonals, need {ell}")
             return rep
         for i in range(1, ell + 1):
             e = cands[i - 1]
-            if edgeorder.dist(model, e) < edgeorder.d_value(k, ell, i):
+            if t.dist[e] < edgeorder.d_value(k, ell, i):
                 rep.flag(f"pair {pair}: slot {i} edge {e} shorter than d_{i}")
             forced.append((e, i))
 
@@ -312,7 +316,7 @@ def _audit_forced_edges(rep, model, classes, nv):
     for e, _ in forced:
         per_class.setdefault(class_of[e], []).append(e)
     counts = sorted(len(v) for v in per_class.values())
-    if counts != [1] + [2] * (len(classes) - 1):
+    if counts != [1] + [2] * (len(maxd) - 1):
         rep.flag(f"forced-edge counts per class {counts} != one 1 and rest 2")
         return rep
 
@@ -320,9 +324,9 @@ def _audit_forced_edges(rep, model, classes, nv):
     d1 = edgeorder.d_value(k, ell, 1)
     for c, es in per_class.items():
         if len(es) == 1:
-            x_total += d1 - edgeorder.dist(model, es[0])
+            x_total += d1 - t.dist[es[0]]
         else:
-            x_total += (nv - 2) - sum(edgeorder.dist(model, e) for e in es)
+            x_total += (nv - 2) - sum(t.dist[e] for e in es)
     if x_total > (ell - 1) // 2:
         rep.flag(f"forced-edge deficit sum {x_total} > {(ell - 1) // 2}")
     return rep
@@ -365,7 +369,7 @@ def _renumber(colors: list[int]) -> bytes:
 
 
 def canonical_form(p: Partition, symmetry: str = SYM_FULL) -> bytes:
-    es = p.model.edges()
+    es = wheel_tables(p.model).edges
     best = None
     for perm in model_symmetries(p.model, symmetry):
         colors = [p.color[edge(perm[a], perm[b])] for a, b in es]

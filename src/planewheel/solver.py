@@ -81,10 +81,10 @@ def solve(
 
     ea = [e[0] for e in edges]
     eb = [e[1] for e in edges]
+    neighbors = [sorted(cg.neighbor_indices(i)) for i in range(len(edges))]
     adj_start = [0]
     adj_flat: list[int] = []
-    for i in range(len(edges)):
-        nbrs = sorted(cg.neighbor_indices(i))
+    for nbrs in neighbors:
         adj_flat.extend(nbrs)
         adj_start.append(len(adj_flat))
 
@@ -98,7 +98,7 @@ def solve(
     pre_set = set(pre_idx)
     rest = sorted(
         (i for i in range(len(edges)) if i not in pre_set),
-        key=lambda i: (-len(cg.neighbor_indices(i)), edges[i]),
+        key=lambda i: (-len(neighbors[i]), edges[i]),
     )
     order = pre_idx + rest
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 Point = tuple[Fraction, Fraction]
@@ -18,6 +19,12 @@ EdgeId = tuple[int, int]
 CLOCKWISE = -1
 COUNTERCLOCKWISE = 1
 COLLINEAR = 0
+
+# edge kinds: radial edges meet the center; boundary edges join hull
+# neighbours; diagonals are every other non-radial edge
+RADIAL = "radial"
+BOUNDARY = "boundary"
+DIAGONAL = "diagonal"
 
 
 def edge(a: int, b: int) -> EdgeId:
@@ -67,13 +74,10 @@ class WheelModel:
         return (self.hull_count + 1) // 2
 
     def group_of(self, v: int) -> int:
-        if not 1 <= v <= self.hull_count:
+        t = wheel_tables(self)
+        if not 1 <= v <= t.hull_count:
             raise ValueError(f"not a hull vertex: {v}")
-        # sizes are tiny; linear scan is fine
-        for g in range(self.k, 0, -1):
-            if v >= self.group_start[g - 1]:
-                return g
-        raise AssertionError
+        return t.group_of[v]
 
     def group_vertices(self, g: int) -> range:
         g = (g - 1) % self.k + 1
@@ -86,7 +90,7 @@ class WheelModel:
 
     def edges(self) -> list[EdgeId]:
         """All edges of the complete graph, in lexicographic order."""
-        return [(a, b) for a in range(self.num_points) for b in range(a + 1, self.num_points)]
+        return list(wheel_tables(self).edges)
 
     def is_radial(self, e: EdgeId) -> bool:
         return e[0] == 0
@@ -98,23 +102,10 @@ class WheelModel:
         Between two groups the far side is the short way around the k-gon;
         within one group it is the in-group arc between the endpoints.
         """
-        a, b = e
-        if a == 0:
-            raise ValueError("far arc undefined for radial edges")
-        ga, gb = self.group_of(a), self.group_of(b)
-        h = self.hull_count
-        if ga == gb:
-            return list(range(a + 1, b))
-        if (gb - ga) % self.k <= (self.k - 1) // 2:
-            start, stop = a, b  # clockwise from a to b
-        else:
-            start, stop = b, a
-        arc = []
-        v = start % h + 1
-        while v != stop:
-            arc.append(v)
-            v = v % h + 1
-        return arc
+        t = wheel_tables(self)
+        start, length = t.far_arc[t.key(e, "far arc undefined for radial edges")]
+        h = t.hull_count
+        return [(start + i - 1) % h + 1 for i in range(length)]
 
     def to_json(self) -> dict:
         return {"k": self.k, "sizes": list(self.sizes)}
@@ -207,6 +198,111 @@ def segments_cross(e: EdgeId, f: EdgeId, ps: PointSet) -> bool:
     )
 
 
+class WheelTables:
+    """Every combinatorial fact about one wheel model, computed once from its
+    group sizes with integer arithmetic.  Get one from `wheel_tables`; the
+    tables are shared between callers and must not be modified.
+
+    Non-radial edges are keyed by their normalized pair (a, b), 0 < a < b.
+    The far arc of such an edge is the clockwise run of hull vertices
+    strictly between its arc endpoints (s, t): between two groups the far
+    side is the short way around the k-gon, within one group it is the
+    in-group arc.
+    """
+
+    def __init__(self, model: WheelModel):
+        k, h = model.k, sum(model.sizes)
+        half = (k - 1) // 2
+        group_of = [0]  # the center vertex belongs to no group
+        for g, size in enumerate(model.sizes, 1):
+            group_of += [g] * size
+        self.hull_count = h
+        self.group_of: tuple[int, ...] = tuple(group_of)
+        self.edges: tuple[EdgeId, ...] = tuple((a, b) for a in range(h + 1) for b in range(a + 1, h + 1))
+        self.index: dict[EdgeId, int] = {e: i for i, e in enumerate(self.edges)}
+        self.kind: dict[EdgeId, str] = {}
+        self.far_arc: dict[EdgeId, tuple[int, int]] = {}  # (first vertex, length)
+        self.arc_endpoints: dict[EdgeId, tuple[int, int]] = {}
+        self.dist: dict[EdgeId, int] = {}
+        # the two distance-(d-1) edges sharing an endpoint with a diagonal:
+        # one keeps the arc start, the other keeps the arc end
+        self.children: dict[EdgeId, tuple[EdgeId, EdgeId]] = {}
+        for e in self.edges:
+            a, b = e
+            if a == 0:
+                self.kind[e] = RADIAL
+                continue
+            ga, gb = group_of[a], group_of[b]
+            s, t = (a, b) if ga == gb or (gb - ga) % k <= half else (b, a)
+            d = (t - s) % h
+            self.kind[e] = BOUNDARY if d == 1 else DIAGONAL
+            self.far_arc[e] = (s % h + 1, d - 1)
+            self.arc_endpoints[e] = (s, t)
+            self.dist[e] = d
+            if d >= 2:
+                self.children[e] = (edge(s, (t - 2) % h + 1), edge(s % h + 1, t))
+        self.opposite_pairs: tuple[tuple[int, int], ...] = tuple(
+            (i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1) if (j - i) % k in (half, half + 1)
+        )
+
+    def key(self, e: EdgeId, radial_msg: str) -> EdgeId:
+        """The key of a non-radial edge given in either orientation; raises
+        ValueError (with radial_msg for a radial edge) if e is none."""
+        a, b = e
+        h = self.hull_count
+        if 0 < a < b <= h:
+            return (a, b)
+        if 0 < b < a <= h:
+            return (b, a)
+        if a == 0 or b == 0:
+            raise ValueError(radial_msg)
+        if a == b:
+            raise ValueError(f"degenerate edge ({a},{a})")
+        raise ValueError(f"not a hull vertex: {a if not 1 <= a <= h else b}")
+
+    @cached_property
+    def crossings(self) -> tuple[bytes, ...]:
+        """Crossing adjacency matrix by edge index: crossings[i][j] is 1 iff
+        edges i and j cross.  A radial edge (0, v) crosses a non-radial edge
+        iff v lies in its far arc; two non-radial edges cross iff their
+        endpoints interleave on the hull.  Rows of bytes take an eighth of
+        the memory of sets of indices and still answer a lookup in O(1)."""
+        index, h = self.index, self.hull_count
+        adj = [bytearray(len(self.edges)) for _ in self.edges]
+        for e, (start, length) in self.far_arc.items():
+            i = index[e]
+            for step in range(length):
+                j = index[(0, (start + step - 1) % h + 1)]
+                adj[i][j] = adj[j][i] = 1
+        for a, c, b, d in combinations(range(1, h + 1), 4):
+            i = index[(a, b)]
+            j = index[(c, d)]
+            adj[i][j] = adj[j][i] = 1
+        return tuple(bytes(row) for row in adj)
+
+
+# The tables of the most recently used models: one model's tables are read
+# millions of times in a row, while a sweep over hundreds of models must not
+# keep the tables of each one alive.
+TABLES_CACHE_SIZE = 2
+
+_build_tables = lru_cache(maxsize=TABLES_CACHE_SIZE)(WheelTables)
+_recent: tuple = (None, None)  # (model, tables) of the latest call
+
+
+def wheel_tables(model: WheelModel) -> WheelTables:
+    """The model's tables, built on first use and kept in a bounded cache
+    keyed by the model; a repeat call with the same model object returns
+    without hashing it."""
+    global _recent
+    recent = _recent
+    if recent[0] is model:
+        return recent[1]
+    tables = _build_tables(model)
+    _recent = (model, tables)
+    return tables
+
+
 def combinatorial_cross(model: WheelModel, e: EdgeId, f: EdgeId) -> bool:
     """Crossing predicate from the group structure alone: two non-radial
     edges cross iff their endpoints interleave on the hull; a radial edge
@@ -216,10 +312,12 @@ def combinatorial_cross(model: WheelModel, e: EdgeId, f: EdgeId) -> bool:
         return False
     if e[0] == 0 and f[0] == 0:
         return False
-    if e[0] == 0:
-        return e[1] in model.far_arc(f)
     if f[0] == 0:
-        return f[1] in model.far_arc(e)
+        e, f = f, e
+    if e[0] == 0:
+        t = wheel_tables(model)
+        start, length = t.far_arc[t.key(f, "far arc undefined for radial edges")]
+        return (e[1] - start) % t.hull_count < length
     a, b = e
     c, d = f
     # interleaving in circular order; hull ids are already circularly sorted
@@ -229,50 +327,31 @@ def combinatorial_cross(model: WheelModel, e: EdgeId, f: EdgeId) -> bool:
 
 
 class CrossingGraph:
-    """Symmetric, irreflexive adjacency: which edges properly cross which."""
+    """Symmetric, irreflexive adjacency: which edges properly cross which.
+    A view over the model's tables."""
 
     def __init__(self, model: WheelModel):
+        t = wheel_tables(model)
         self.model = model
-        self.edges = model.edges()
-        self.index = {e: i for i, e in enumerate(self.edges)}
-        n_e = len(self.edges)
-        adj: list[set[int]] = [set() for _ in range(n_e)]
-        h = model.hull_count
-        # radial vs non-radial: radial (0,v) crosses e iff v in far arc of e
-        for e in self.edges:
-            if e[0] != 0:
-                i = self.index[e]
-                for v in model.far_arc(e):
-                    j = self.index[(0, v)]
-                    adj[i].add(j)
-                    adj[j].add(i)
-        # hull-hull: interleaving 4-tuples
-        for a, c, b, d in combinations(range(1, h + 1), 4):
-            i = self.index[(a, b)]
-            j = self.index[(c, d)]
-            adj[i].add(j)
-            adj[j].add(i)
-        self._adj = adj
+        self.edges = list(t.edges)
+        self.index = dict(t.index)
+        self._adj = t.crossings
 
     def crosses(self, e: EdgeId, f: EdgeId) -> bool:
-        return self.index[f] in self._adj[self.index[e]]
+        return self._adj[self.index[e]][self.index[f]] == 1
 
     def neighbors(self, e: EdgeId) -> list[EdgeId]:
-        return [self.edges[j] for j in sorted(self._adj[self.index[e]])]
+        return [self.edges[j] for j, x in enumerate(self._adj[self.index[e]]) if x]
 
     def neighbor_indices(self, i: int) -> set[int]:
-        return self._adj[i]
+        return {j for j, x in enumerate(self._adj[i]) if x}
 
     def degree(self, e: EdgeId) -> int:
-        return len(self._adj[self.index[e]])
+        return self._adj[self.index[e]].count(1)
 
     def crossing_pairs(self) -> set[tuple[EdgeId, EdgeId]]:
-        out = set()
-        for i, nbrs in enumerate(self._adj):
-            for j in nbrs:
-                if i < j:
-                    out.add((self.edges[i], self.edges[j]))
-        return out
+        es = self.edges
+        return {(es[i], es[j]) for i, row in enumerate(self._adj) for j in range(i + 1, len(row)) if row[j]}
 
 
 def crossing_graph(model: WheelModel) -> CrossingGraph:
@@ -337,9 +416,10 @@ def _realization_ok(model: WheelModel, ps: PointSet) -> bool:
         if _center_in_convex_polygon(ps, window):
             return False
     # combinatorial and geometric crossings must agree on every edge pair
-    es = model.edges()
-    for e, f in combinations(es, 2):
-        if combinatorial_cross(model, e, f) != segments_cross(e, f, ps):
+    t = wheel_tables(model)
+    es, adj = t.edges, t.crossings
+    for i, j in combinations(range(len(es)), 2):
+        if adj[i][j] != segments_cross(es[i], es[j], ps):
             return False
     return True
 

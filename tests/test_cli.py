@@ -1,7 +1,9 @@
 import json
+import weakref
 
 import pytest
 
+from planewheel import enumerate_k3
 from planewheel.cli import run
 
 
@@ -51,6 +53,35 @@ def test_node_limit_env_override(tmp_path, monkeypatch):
     assert code == 3
 
 
+def _one_line_error(capsys, needle):
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and needle in err, err
+
+
+def test_node_limit_env_must_be_an_integer(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PLANEWHEEL_NODE_LIMIT", "abc")
+    assert run(["solve", "--bw", "3", "3", "-o", str(tmp_path / "r.json")]) == 2
+    _one_line_error(capsys, "PLANEWHEEL_NODE_LIMIT")
+
+
+def test_negative_node_limit_rejected(tmp_path, capsys):
+    assert run(["solve", "--bw", "3", "5", "--node-limit", "-1", "-o", str(tmp_path / "r.json")]) == 2
+    _one_line_error(capsys, "node limit")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_negative_time_limit_rejected(tmp_path, capsys):
+    assert run(["solve", "--bw", "3", "3", "--time-limit", "-1", "-o", str(tmp_path / "r.json")]) == 2
+    _one_line_error(capsys, "--time-limit")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_export_lp_rejects_zero_classes(tmp_path, capsys):
+    assert run(["export-lp", "--bw", "3", "3", "--m", "0", "-o", str(tmp_path / "m.lp")]) == 2
+    _one_line_error(capsys, "--m")
+    assert not (tmp_path / "m.lp").exists()
+
+
 def test_enumerate_count(capsys):
     assert run(["enumerate", "--k", "3", "--emit", "count"]) == 0
     assert capsys.readouterr().out.strip() == "20"
@@ -59,6 +90,35 @@ def test_enumerate_count(capsys):
 def test_enumerate_case_filter(capsys):
     assert run(["enumerate", "--k", "3", "--case", "1", "--emit", "count"]) == 0
     assert capsys.readouterr().out.strip() == "4"
+
+
+def test_enumerate_count_streams(monkeypatch, capsys):
+    """--emit count holds one partition at a time, never the whole list."""
+    alive = weakref.WeakSet()
+    held = []
+
+    class Item:
+        pass
+
+    def fake_enumerate_all(k, case="all"):
+        for _ in range(50):
+            held.append(len(alive))  # earlier items the consumer still holds
+            item = Item()
+            alive.add(item)
+            yield item
+            del item
+
+    monkeypatch.setattr(enumerate_k3, "enumerate_all", fake_enumerate_all)
+    assert run(["enumerate", "--k", "3", "--emit", "count"]) == 0
+    assert capsys.readouterr().out.strip() == "50"
+    assert max(held) <= 1
+
+
+@pytest.mark.parametrize("emit", ["count", "json"])
+@pytest.mark.parametrize("flags", [["--k", "4"], ["--k", "1"]])
+def test_enumerate_rejects_bad_k(emit, flags, capsys):
+    assert run(["enumerate", *flags, "--emit", emit]) == 2
+    assert "k must be odd" in capsys.readouterr().err
 
 
 def test_enumerate_json(tmp_path):

@@ -98,7 +98,7 @@ class TestGroupsAndRoles:
         ]
 
     def test_vertex_roles(self, bw53):
-        roles = eo.outmost_vertices(bw53)
+        roles = eo.VertexRoles(bw53)
         assert 1 in roles.outmost and 3 in roles.outmost
         assert 2 in roles.inside
         assert roles.centers[1] == 2

@@ -34,6 +34,17 @@ class TestMaxCrossingFamily:
             for f in fam[i + 1 :]:
                 assert cg.crosses(e, f)
 
+    @pytest.mark.parametrize("sizes,extra", [((1, 3, 1), (0, 3)), ((3, 5, 1), (0, 5))])
+    def test_greedy_pass_grows_the_family(self, sizes, extra):
+        # a radial edge crosses all n-1 chords, so symmetry breaking
+        # preassigns n pairwise-crossing edges here, not n-1
+        m = build_generalized_wheel(list(sizes))
+        fam = max_crossing_family(m)
+        assert fam == [(t, t + m.n) for t in range(1, m.n)] + [extra]
+        cg = crossing_graph(m)
+        assert all(cg.crosses(e, f) for i, e in enumerate(fam) for f in fam[i + 1 :])
+        assert solve(m, SolveConfig(mode=MODE_DOUBLE_STAR)).stats["preassigned"] == m.n
+
 
 class TestSolve:
     def test_bw33_tree_sat(self, bw33):
