@@ -10,6 +10,9 @@ from . import edgeorder
 from .wheelgeom import (
     BOUNDARY,
     DIAGONAL,
+    SYM_FULL,
+    SYM_NONE,
+    SYM_ROTATION,
     CrossingGraph,
     EdgeId,
     WheelModel,
@@ -333,29 +336,14 @@ def _audit_forced_edges(rep, model, t, maxd, nv):
 
 
 # ---------------------------------------------------------------------------
-# isomorphism
-
-SYM_NONE = "none"
-SYM_ROTATION = "rotation"
-SYM_FULL = "rotation_reflection"
+# isomorphism (SYM_NONE, SYM_ROTATION and SYM_FULL name the symmetry groups;
+# they live with the tables in wheelgeom)
 
 
 def model_symmetries(model: WheelModel, symmetry: str = SYM_FULL) -> list[tuple[int, ...]]:
     """Vertex permutations (as image tuples over 0..2n-1) induced by circular
     symmetries of the group-size sequence; v_0 is always fixed."""
-    h = model.hull_count
-    group_sets = [frozenset(v - 1 for v in model.group_vertices(g)) for g in range(1, model.k + 1)]
-    gs = set(group_sets)
-    signs = (1,) if symmetry == SYM_ROTATION else (1, -1)
-    if symmetry == SYM_NONE:
-        return [tuple(range(h + 1))]
-    perms = []
-    for sign in signs:
-        for t in range(h):
-            images = [(sign * p + t) % h for p in range(h)]
-            if all(frozenset(images[p] for p in s) in gs for s in group_sets):
-                perms.append((0,) + tuple(images[v - 1] + 1 for v in range(1, h + 1)))
-    return perms
+    return list(wheel_tables(model).symmetries(symmetry))
 
 
 def _renumber(colors: list[int]) -> bytes:
@@ -369,11 +357,11 @@ def _renumber(colors: list[int]) -> bytes:
 
 
 def canonical_form(p: Partition, symmetry: str = SYM_FULL) -> bytes:
-    es = wheel_tables(p.model).edges
+    t = wheel_tables(p.model)
+    colors = [p.color[e] for e in t.edges]
     best = None
-    for perm in model_symmetries(p.model, symmetry):
-        colors = [p.color[edge(perm[a], perm[b])] for a, b in es]
-        cand = _renumber(colors)
+    for image in t.edge_images(symmetry):
+        cand = _renumber([colors[j] for j in image])
         if best is None or cand < best:
             best = cand
     assert best is not None

@@ -9,7 +9,7 @@ from typing import Optional
 
 from . import _core
 from .partition import MODE_DOUBLE_STAR, MODE_SUBGRAPH, MODE_TREE, Partition
-from .wheelgeom import EdgeId, WheelModel, crossing_graph, is_bumpy
+from .wheelgeom import EdgeId, WheelModel, crossing_graph, is_bumpy, wheel_tables
 
 _MODE_IDS = {MODE_SUBGRAPH: 0, MODE_TREE: 1, MODE_DOUBLE_STAR: 2}
 
@@ -81,12 +81,7 @@ def solve(
 
     ea = [e[0] for e in edges]
     eb = [e[1] for e in edges]
-    neighbors = [sorted(cg.neighbor_indices(i)) for i in range(len(edges))]
-    adj_start = [0]
-    adj_flat: list[int] = []
-    for nbrs in neighbors:
-        adj_flat.extend(nbrs)
-        adj_start.append(len(adj_flat))
+    adj_start, adj_flat = wheel_tables(model).adjacency
 
     if preassigned is None and cfg.symmetry_breaking:
         fam = max_crossing_family(model)[:m]
@@ -98,7 +93,7 @@ def solve(
     pre_set = set(pre_idx)
     rest = sorted(
         (i for i in range(len(edges)) if i not in pre_set),
-        key=lambda i: (-len(neighbors[i]), edges[i]),
+        key=lambda i: (adj_start[i] - adj_start[i + 1], edges[i]),
     )
     order = pre_idx + rest
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, compress, count
 
 Point = tuple[Fraction, Fraction]
 EdgeId = tuple[int, int]
@@ -25,6 +25,11 @@ COLLINEAR = 0
 RADIAL = "radial"
 BOUNDARY = "boundary"
 DIAGONAL = "diagonal"
+
+# symmetry groups of a wheel acting on its vertices
+SYM_NONE = "none"
+SYM_ROTATION = "rotation"
+SYM_FULL = "rotation_reflection"
 
 
 def edge(a: int, b: int) -> EdgeId:
@@ -150,6 +155,29 @@ class PointSet:
             homog.append((x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w))
         object.__setattr__(self, "_homog", tuple(homog))
 
+    @cached_property
+    def _orientations(self) -> bytes:
+        """The order type (chirotope): 1 + the orientation sign of every
+        ordered index triple (i, j, l), at (i*m + j)*m + l; a triple with a
+        repeated index reads 1 (collinear).  Built on first use from one
+        integer determinant per unordered triple, which sets all six
+        permutations: cyclic shifts keep the sign, swaps flip it."""
+        m = len(self._homog)
+        table = bytearray(b"\x01" * (m * m * m))
+        for i, (xi, yi, wi) in enumerate(self._homog):
+            # (rx[k], ry[k]) is W_i W_k (p_k - p_i), so d is W_i^2 W_j W_l det(p_j - p_i, p_l - p_i)
+            rx = [xk * wi - xi * wk for xk, _, wk in self._homog]
+            ry = [yk * wi - yi * wk for _, yk, wk in self._homog]
+            for j in range(i + 1, m):
+                dx, dy = rx[j], ry[j]
+                for l in range(j + 1, m):
+                    d = dx * ry[l] - dy * rx[l]
+                    if d:
+                        keep, flip = (2, 0) if d > 0 else (0, 2)
+                        table[(i * m + j) * m + l] = table[(j * m + l) * m + i] = table[(l * m + i) * m + j] = keep
+                        table[(j * m + i) * m + l] = table[(i * m + l) * m + j] = table[(l * m + j) * m + i] = flip
+        return bytes(table)
+
     def __len__(self) -> int:
         return len(self.points)
 
@@ -173,16 +201,16 @@ def orientation(p: Point, q: Point, r: Point) -> int:
 
 
 def _orient_idx(ps: PointSet, i: int, j: int, l: int) -> int:
-    """orientation() over homogeneous integer coordinates (faster)."""
-    xi, yi, wi = ps._homog[i]
-    xj, yj, wj = ps._homog[j]
-    xl, yl, wl = ps._homog[l]
-    d = (xj * wi - xi * wj) * (yl * wi - yi * wl) - (yj * wi - yi * wj) * (xl * wi - xi * wl)
-    return (d > 0) - (d < 0)
+    """orientation() of three points given by index, read from the order type."""
+    m = len(ps.points)
+    return ps._orientations[(i * m + j) * m + l] - 1
 
 
 def in_general_position(ps: PointSet) -> bool:
-    return all(_orient_idx(ps, i, j, l) != 0 for i, j, l in combinations(range(len(ps)), 3))
+    """No three points collinear (and none repeated): the only zero signs in
+    the order type are those of the m^3 - m(m-1)(m-2) repeated-index triples."""
+    m = len(ps.points)
+    return ps._orientations.count(1) == m * m * m - m * (m - 1) * (m - 2)
 
 
 def segments_cross(e: EdgeId, f: EdgeId, ps: PointSet) -> bool:
@@ -192,10 +220,9 @@ def segments_cross(e: EdgeId, f: EdgeId, ps: PointSet) -> bool:
     c, d = f
     if len({a, b, c, d}) < 4:
         return False
-    return (
-        _orient_idx(ps, a, b, c) != _orient_idx(ps, a, b, d)
-        and _orient_idx(ps, c, d, a) != _orient_idx(ps, c, d, b)
-    )
+    table, m = ps._orientations, len(ps.points)
+    ab, cd = (a * m + b) * m, (c * m + d) * m
+    return table[ab + c] != table[ab + d] and table[cd + a] != table[cd + b]
 
 
 class WheelTables:
@@ -244,6 +271,7 @@ class WheelTables:
         self.opposite_pairs: tuple[tuple[int, int], ...] = tuple(
             (i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1) if (j - i) % k in (half, half + 1)
         )
+        self._edge_images: dict[str, tuple[tuple[int, ...], ...]] = {}
 
     def key(self, e: EdgeId, radial_msg: str) -> EdgeId:
         """The key of a non-radial edge given in either orientation; raises
@@ -279,6 +307,52 @@ class WheelTables:
             j = index[(c, d)]
             adj[i][j] = adj[j][i] = 1
         return tuple(bytes(row) for row in adj)
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The crossings as compressed sparse rows (start, flat): the indices
+        of the edges crossing edge i are flat[start[i]:start[i + 1]],
+        ascending.  Two flat tuples rather than one tuple per edge: per-edge
+        tuples raised the peak memory of a sweep over the 391 atlas wheels by
+        about 1.6 MB."""
+        start, flat = [0], []
+        for row in self.crossings:
+            flat.extend(compress(count(), row))
+            start.append(len(flat))
+        return tuple(start), tuple(flat)
+
+    def symmetries(self, symmetry: str = SYM_FULL) -> tuple[tuple[int, ...], ...]:
+        """Vertex permutations (image tuples over 0..2n-1) induced by the
+        circular symmetries of the group-size sequence: none, rotations, or
+        rotations and reflections (any other value).  The center is fixed."""
+        h = self.hull_count
+        if symmetry == SYM_NONE:
+            return (tuple(range(h + 1)),)
+        groups: dict[int, set[int]] = {}
+        for v in range(1, h + 1):
+            groups.setdefault(self.group_of[v], set()).add(v - 1)
+        group_sets = [frozenset(s) for s in groups.values()]
+        gs = set(group_sets)
+        signs = (1,) if symmetry == SYM_ROTATION else (1, -1)
+        perms = []
+        for sign in signs:
+            for t in range(h):
+                images = [(sign * p + t) % h for p in range(h)]
+                if all(frozenset(images[p] for p in s) in gs for s in group_sets):
+                    perms.append((0,) + tuple(images[v - 1] + 1 for v in range(1, h + 1)))
+        return tuple(perms)
+
+    def edge_images(self, symmetry: str = SYM_FULL) -> tuple[tuple[int, ...], ...]:
+        """For each permutation of `symmetries(symmetry)`, in that order, the
+        index of the image of every edge: images[s][i] is the index of
+        edge(perm[a], perm[b]) for the i-th edge (a, b)."""
+        images = self._edge_images.get(symmetry)
+        if images is None:
+            index = self.index
+            images = self._edge_images[symmetry] = tuple(
+                tuple(index[edge(perm[a], perm[b])] for a, b in self.edges) for perm in self.symmetries(symmetry)
+            )
+        return images
 
 
 # The tables of the most recently used models: one model's tables are read
@@ -335,23 +409,31 @@ class CrossingGraph:
         self.model = model
         self.edges = list(t.edges)
         self.index = dict(t.index)
+        self._tables = t
         self._adj = t.crossings
 
     def crosses(self, e: EdgeId, f: EdgeId) -> bool:
         return self._adj[self.index[e]][self.index[f]] == 1
 
+    def _row(self, i: int) -> tuple[int, ...]:
+        start, flat = self._tables.adjacency
+        return flat[start[i] : start[i + 1]]
+
     def neighbors(self, e: EdgeId) -> list[EdgeId]:
-        return [self.edges[j] for j, x in enumerate(self._adj[self.index[e]]) if x]
+        return [self.edges[j] for j in self._row(self.index[e])]
 
     def neighbor_indices(self, i: int) -> set[int]:
-        return {j for j, x in enumerate(self._adj[i]) if x}
+        return set(self._row(i))
 
     def degree(self, e: EdgeId) -> int:
-        return self._adj[self.index[e]].count(1)
+        start, _ = self._tables.adjacency
+        i = self.index[e]
+        return start[i + 1] - start[i]
 
     def crossing_pairs(self) -> set[tuple[EdgeId, EdgeId]]:
         es = self.edges
-        return {(es[i], es[j]) for i, row in enumerate(self._adj) for j in range(i + 1, len(row)) if row[j]}
+        start, flat = self._tables.adjacency
+        return {(es[i], es[flat[k]]) for i in range(len(es)) for k in range(start[i], start[i + 1]) if flat[k] > i}
 
 
 def crossing_graph(model: WheelModel) -> CrossingGraph:
@@ -359,10 +441,50 @@ def crossing_graph(model: WheelModel) -> CrossingGraph:
 
 
 def geometric_crossing_pairs(ps: PointSet) -> set[tuple[EdgeId, EdgeId]]:
-    """All properly crossing edge pairs of the complete graph on ps (exact)."""
-    m = len(ps)
-    es = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    return {(e, f) for e, f in combinations(es, 2) if segments_cross(e, f, ps)}
+    """All properly crossing edge pairs of the complete graph on ps (exact),
+    each as (e, f) with e < f.  Each 4-subset a < b < c < d is split into its
+    three pairings ab|cd, ac|bd and ad|bc, and each is tested on its own with
+    the `segments_cross` predicate, rewritten over the four signs abc, abd,
+    acd and bcd; so the set is the pairwise one even on degenerate input."""
+    table, m = ps._orientations, len(ps.points)
+    out = set()
+    for a in range(m):
+        for b in range(a + 1, m):
+            ab = (a * m + b) * m
+            for c in range(b + 1, m):
+                abc, ac, bc = table[ab + c], (a * m + c) * m, (b * m + c) * m
+                for d in range(c + 1, m):
+                    abd, acd, bcd = table[ab + d], table[ac + d], table[bc + d]
+                    # entries are 1 + sign, so sign(x) == -sign(y) reads x + y == 2
+                    if abc != abd and acd != bcd:
+                        out.add(((a, b), (c, d)))
+                    if abc + acd != 2 and abd + bcd != 2:
+                        out.add(((a, c), (b, d)))
+                    if abd != acd and abc != bcd:
+                        out.add(((a, d), (b, c)))
+    return out
+
+
+def _crossings_match(t: WheelTables, pairs: set[tuple[EdgeId, EdgeId]], relabel) -> bool:
+    """True iff the edge pairs, with every vertex v renamed relabel[v] (a
+    bijection), are exactly the crossing pairs of the model with tables t.
+    Every edge pair is decided: pairs inside the crossings plus equal counts
+    leave none out."""
+    adj = t.crossings
+    if 2 * len(pairs) != b"".join(adj).count(1):
+        return False
+    m = len(relabel)
+    inverse = [0] * m
+    for v, r in enumerate(relabel):
+        inverse[r] = v
+    renamed = [0] * (m * m)  # renamed[a*m + b]: index of edge(relabel[a], relabel[b])
+    for i, (a, b) in enumerate(t.edges):
+        a, b = inverse[a], inverse[b]
+        renamed[a * m + b] = renamed[b * m + a] = i
+    for (a, b), (c, d) in pairs:
+        if not adj[renamed[a * m + b]][renamed[c * m + d]]:
+            return False
+    return True
 
 
 def _rational_circle_point(angle: float, scale: int) -> Point:
@@ -370,9 +492,10 @@ def _rational_circle_point(angle: float, scale: int) -> Point:
     tangent half-angle parameterization."""
     # normalize into (-pi, pi); group layout keeps angles away from pi
     a = math.remainder(angle, 2 * math.pi)
-    t = Fraction(round(math.tan(a / 2) * scale), scale)
-    den = 1 + t * t
-    return ((1 - t * t) / den, 2 * t / den)
+    # t = p / q: ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)) over integers
+    p, q = round(math.tan(a / 2) * scale), scale
+    den = q * q + p * p
+    return (Fraction(q * q - p * p, den), Fraction(2 * p * q, den))
 
 
 REALIZE_MAX_HALVINGS = 64
@@ -403,7 +526,7 @@ def realize_coordinates(model: WheelModel) -> PointSet:
 
 
 def _realization_ok(model: WheelModel, ps: PointSet) -> bool:
-    if len(set(ps.points)) != len(ps.points):
+    if len(set(ps._homog)) != len(ps._homog):  # a repeated point; ints hash faster than Fractions
         return False
     if not in_general_position(ps):
         return False
@@ -416,12 +539,7 @@ def _realization_ok(model: WheelModel, ps: PointSet) -> bool:
         if _center_in_convex_polygon(ps, window):
             return False
     # combinatorial and geometric crossings must agree on every edge pair
-    t = wheel_tables(model)
-    es, adj = t.edges, t.crossings
-    for i, j in combinations(range(len(es)), 2):
-        if adj[i][j] != segments_cross(es[i], es[j], ps):
-            return False
-    return True
+    return _crossings_match(wheel_tables(model), geometric_crossing_pairs(ps), range(len(ps)))
 
 
 def _center_in_convex_polygon(ps: PointSet, hull_ids: list[int]) -> bool:
@@ -442,24 +560,20 @@ def _point_in_triangle(ps: PointSet, i: int, a: int, b: int, c: int) -> bool:
 
 def hull_and_interior(ps: PointSet) -> tuple[list[int], list[int]]:
     """Indices on the convex hull (clockwise order) and strictly interior."""
-    idx = list(range(len(ps)))
-    pts = [(ps.points[i][0], ps.points[i][1], i) for i in idx]
-    pts.sort()
+    order = sorted(range(len(ps)), key=ps.points.__getitem__)
+
     # Andrew monotone chain, exact
     def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and orientation(out[-2][:2], out[-1][:2], p[:2]) <= 0:
+        out: list[int] = []
+        for i in seq:
+            while len(out) >= 2 and _orient_idx(ps, out[-2], out[-1], i) <= 0:
                 out.pop()
-            out.append(p)
+            out.append(i)
         return out
 
-    lower = half(pts)
-    upper = half(list(reversed(pts)))
-    hull = [p[2] for p in lower[:-1]] + [p[2] for p in upper[:-1]]  # ccw
-    hull_cw = list(reversed(hull))
-    interior = [i for i in idx if i not in set(hull)]
-    return hull_cw, interior
+    hull = half(order)[:-1] + half(reversed(order))[:-1]  # ccw
+    on_hull = set(hull)
+    return hull[::-1], [i for i in range(len(ps)) if i not in on_hull]
 
 
 def opposite_boundary_edge(ps: PointSet, v: int) -> EdgeId:
@@ -468,9 +582,12 @@ def opposite_boundary_edge(ps: PointSet, v: int) -> EdgeId:
     hull, interior = hull_and_interior(ps)
     if len(interior) != 1:
         raise ValueError(f"expected exactly one interior point, found {len(interior)}")
-    v0 = interior[0]
-    if v == v0:
+    if v == interior[0]:
         raise ValueError("v must be a hull vertex")
+    return _opposite_boundary_edge(ps, hull, interior[0], v)
+
+
+def _opposite_boundary_edge(ps: PointSet, hull: list[int], v0: int, v: int) -> EdgeId:
     m = len(hull)
     for i in range(m):
         u, w = hull[i], hull[(i + 1) % m]
@@ -493,7 +610,7 @@ def canonicalize(ps: PointSet) -> WheelModel:
     if len(interior) != 1:
         raise ValueError(f"expected exactly one interior point, found {len(interior)}")
 
-    opp = {v: opposite_boundary_edge(ps, v) for v in hull}
+    opp = {v: _opposite_boundary_edge(ps, hull, interior[0], v) for v in hull}
     m = len(hull)
     # group boundaries: positions where the opposite edge changes
     breaks = [i for i in range(m) if opp[hull[i]] != opp[hull[i - 1]]]
@@ -540,15 +657,9 @@ def canonicalize(ps: PointSet) -> WheelModel:
             raise ValueError("opposite edge does not split groups evenly; predicate bug")
 
     # crossing structure must be preserved under the order-preserving map
-    relabel = {interior[0]: 0}
+    relabel = [0] * len(ps)
     for t, v in enumerate(order):
         relabel[v] = t + 1
-    geo = {
-        (edge(relabel[e[0]], relabel[e[1]]), edge(relabel[f[0]], relabel[f[1]]))
-        for e, f in geometric_crossing_pairs(ps)
-    }
-    geo = {tuple(sorted(p)) for p in geo}
-    comb = {tuple(sorted(p)) for p in crossing_graph(model).crossing_pairs()}
-    if geo != comb:
+    if not _crossings_match(wheel_tables(model), geometric_crossing_pairs(ps), relabel):
         raise ValueError("crossing structure changed under canonicalization; predicate bug")
     return model

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import wheel_matrix
 from planewheel import enumerate_k3
 from planewheel.partition import (
     MODE_DOUBLE_STAR,
@@ -189,3 +190,43 @@ def test_property_canonical_form_invariant(seed):
         color={e: cmap[p.color[edge(perm[e[0]], perm[e[1]])]] for e in p.model.edges()},
     )
     assert canonical_form(p) == canonical_form(q)
+
+
+# The per-call symmetry computation and canonical form the per-model edge
+# images replaced, as they were.
+def percall_symmetries(model, symmetry):
+    h = model.hull_count
+    group_sets = [frozenset(v - 1 for v in model.group_vertices(g)) for g in range(1, model.k + 1)]
+    gs = set(group_sets)
+    signs = (1,) if symmetry == SYM_ROTATION else (1, -1)
+    if symmetry == SYM_NONE:
+        return [tuple(range(h + 1))]
+    perms = []
+    for sign in signs:
+        for t in range(h):
+            images = [(sign * p + t) % h for p in range(h)]
+            if all(frozenset(images[p] for p in s) in gs for s in group_sets):
+                perms.append((0,) + tuple(images[v - 1] + 1 for v in range(1, h + 1)))
+    return perms
+
+
+def percall_canonical_form(p, symmetry):
+    best = None
+    for perm in percall_symmetries(p.model, symmetry):
+        colors = [p.color[edge(perm[a], perm[b])] for a, b in p.model.edges()]
+        remap = {}
+        cand = bytes(remap.setdefault(c, len(remap)) for c in colors)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+@pytest.mark.parametrize("symmetry", [SYM_NONE, SYM_ROTATION, SYM_FULL])
+def test_symmetries_and_forms_match_percall_computation(symmetry):
+    for sizes in wheel_matrix(9) + [(1, 2, 3, 2, 1), (3,) * 5]:
+        model = build_generalized_wheel(list(sizes))
+        assert model_symmetries(model, symmetry) == percall_symmetries(model, symmetry), sizes
+    parts = list(enumerate_k3.enumerate_all(5))
+    assert len(parts) == 320
+    for p in parts:
+        assert canonical_form(p, symmetry) == percall_canonical_form(p, symmetry)

@@ -141,13 +141,19 @@ def test_crossings():
         es = m.edges()
         arcs = {e: set(walk_far_arc(m, e)) for e in non_radial(m)}
         want = set()
+        want_nbrs = [[] for _ in es]
         for i, e in enumerate(es):
-            for f in es[i + 1 :]:
+            for j in range(i + 1, len(es)):
+                f = es[j]
                 cross = direct_cross(arcs, e, f)
                 assert combinatorial_cross(m, e, f) == cross, (label(m), e, f)
                 if cross:
                     want.add((e, f))
+                    want_nbrs[i].append(j)
+                    want_nbrs[j].append(i)
         assert crossing_graph(m).crossing_pairs() == want, label(m)
+        start, flat = wheel_tables(m).adjacency
+        assert [list(flat[start[i] : start[i + 1]]) for i in range(len(es))] == want_nbrs, label(m)
 
 
 def test_reversed_and_bad_edges():

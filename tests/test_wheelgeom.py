@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,8 @@ from planewheel.wheelgeom import (
     orientation,
     realize_coordinates,
     segments_cross,
+    _orient_idx,
+    _realization_ok,
 )
 
 
@@ -224,3 +227,88 @@ def test_matrix_models_all_realize():
         m = build_generalized_wheel(list(sizes))
         ps = realize_coordinates(m)
         assert set(crossing_graph(m).crossing_pairs()) == geometric_crossing_pairs(ps)
+
+
+# The per-call predicates the order type replaced, as they were: a determinant
+# over homogeneous integer coordinates for every call, and the crossing pairs
+# as every edge pair tested in turn.
+def percall_orient_idx(ps, i, j, l):
+    xi, yi, wi = ps._homog[i]
+    xj, yj, wj = ps._homog[j]
+    xl, yl, wl = ps._homog[l]
+    d = (xj * wi - xi * wj) * (yl * wi - yi * wl) - (yj * wi - yi * wj) * (xl * wi - xi * wl)
+    return (d > 0) - (d < 0)
+
+
+def percall_segments_cross(e, f, ps):
+    a, b = e
+    c, d = f
+    if len({a, b, c, d}) < 4:
+        return False
+    return (
+        percall_orient_idx(ps, a, b, c) != percall_orient_idx(ps, a, b, d)
+        and percall_orient_idx(ps, c, d, a) != percall_orient_idx(ps, c, d, b)
+    )
+
+
+def pairwise_crossing_pairs(ps):
+    m = len(ps)
+    es = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    return {(e, f) for e, f in combinations(es, 2) if percall_segments_cross(e, f, ps)}
+
+
+def collinear_grid():
+    """A 3x3 integer grid, one point above it and a second copy of the grid's
+    center: many collinear triples, and 4-subsets with two crossing pairings."""
+    pts = [(Fraction(x), Fraction(y)) for x in range(3) for y in range(3)]
+    return PointSet(points=tuple(pts) + ((Fraction(1, 2), Fraction(3)), pts[4]))
+
+
+@pytest.fixture(scope="module")
+def order_type_sets():
+    rng = random.Random(5)
+    sets = [random_one_interior_set(rng) for _ in range(6)]
+    models = [build_bumpy_wheel(5, 5), build_bumpy_wheel(7, 3), build_generalized_wheel([2, 3, 3, 4, 5])]
+    return sets + [realize_coordinates(m) for m in models]
+
+
+class TestOrderType:
+    def test_table_built_on_first_use(self, bw33):
+        ps = realize_coordinates(bw33)
+        fresh = PointSet(points=ps.points, interior_index=0)
+        assert "_orientations" not in vars(fresh)
+        assert _orient_idx(fresh, 0, 1, 2) == orientation(*fresh.points[:3])
+        assert len(vars(fresh)["_orientations"]) == len(fresh) ** 3
+
+    def test_every_entry_is_the_exact_orientation(self, order_type_sets):
+        for ps in order_type_sets + [collinear_grid()]:
+            pts = ps.points
+            for i, j, l in product(range(len(ps)), repeat=3):
+                want = orientation(pts[i], pts[j], pts[l])
+                assert _orient_idx(ps, i, j, l) == want, (i, j, l)
+                if len({i, j, l}) < 3:
+                    assert want == 0
+
+    def test_general_position(self, order_type_sets):
+        assert all(in_general_position(ps) for ps in order_type_sets)
+        assert not in_general_position(collinear_grid())
+        pts = order_type_sets[0].points
+        assert not in_general_position(PointSet(points=pts + pts[:1]))  # a repeated point
+
+    def test_crossing_pairs_match_pairwise_definition(self, order_type_sets):
+        grid = collinear_grid()
+        for ps in order_type_sets + [grid]:
+            assert geometric_crossing_pairs(ps) == pairwise_crossing_pairs(ps)
+        m = len(grid)
+        for e, f in combinations([(a, b) for a in range(m) for b in range(a + 1, m)], 2):
+            assert segments_cross(e, f, grid) == percall_segments_cross(e, f, grid), (e, f)
+
+    def test_realization_check_rejects_other_crossings(self, bw33):
+        ps = realize_coordinates(bw33)
+        assert _realization_ok(bw33, ps)
+        pts = list(ps.points)
+        pts[1], pts[2] = pts[2], pts[1]  # two hull points of group 1 trade places
+        swapped = PointSet(points=tuple(pts), interior_index=0)
+        assert in_general_position(swapped)
+        assert geometric_crossing_pairs(swapped) != crossing_graph(bw33).crossing_pairs()
+        assert not _realization_ok(bw33, swapped)
