@@ -1,8 +1,11 @@
 """Pure-Python backtracking kernel for the partition solver.
 
-The compiled extension `_search` implements the identical algorithm; both
-backends must produce the same status, node count, max depth and search
-fingerprint for the same input.  Any behavioral change must be made in both.
+The compiled extension `_search` searches the identical tree: both backends
+must produce the same status, node count, max depth, search fingerprint and
+witness for the same input.  They need not agree line by line -- this kernel
+keeps crossing conflicts as per-colour bitsets over Python ints, the compiled
+one as counts -- but any change to the branching order or to a pruning
+condition must be made in both.
 
 Modes: 0 = plane subgraph coloring, 1 = spanning trees, 2 = double stars.
 """
@@ -48,8 +51,13 @@ def search(
     t0 = time.monotonic()
 
     colors = [-1] * n_edges
-    conflicts = [0] * (n_edges * m)  # assigned crossing neighbors per color
-    forbidden = [0] * n_edges  # number of colors with a conflict
+    bit = [1 << e for e in range(n_edges)]
+    # bit f of cross[e]: edge f crosses edge e
+    cross = [sum(bit[f] for f in adj_flat[adj_start[e] : adj_start[e + 1]]) for e in range(n_edges)]
+    # bit f of blocked[c]: f crosses some edge coloured c
+    blocked = [0] * m
+    others = [[d for d in range(m) if d != c] for c in range(m)]
+    free = (1 << n_edges) - 1  # unassigned edges; commit and undo toggle bit e
     count = [0] * m
     # per-color union-find (no path compression, union by size, rollbackable)
     parent = [v for _ in range(m) for v in range(num_vertices)]
@@ -73,19 +81,14 @@ def search(
 
     structural = mode != MODE_SUBGRAPH
 
-    def find(c, v):
-        base = c * num_vertices
-        while parent[base + v] != v:
-            v = parent[base + v]
-        return v
-
-    # trail entries per depth: (e, c, union_child, union_winner, int_a, int_b, prev_max)
+    # trail entries per depth:
+    # (e, c, union_child, union_winner, int_a, int_b, prev_max, prev_blocked)
     trail = [None] * (n_edges + 1)
 
     def try_assign(e, c, depth):
-        nonlocal max_used, nodes, max_depth, fingerprint
-        if conflicts[e * m + c] > 0:
-            return False
+        """Colour e with c unless a constraint refuses it.  The caller has
+        already checked that no edge coloured c crosses e."""
+        nonlocal max_used, nodes, max_depth, fingerprint, free
         if enforce_class_size and count[c] >= class_size:
             return False
         a = ea[e]
@@ -93,8 +96,13 @@ def search(
         base = c * num_vertices
         ra = rb = -1
         if structural:
-            ra = find(c, a)
-            rb = find(c, b)
+            # roots of a and b in colour c's union-find
+            ra = a
+            while parent[base + ra] != ra:
+                ra = parent[base + ra]
+            rb = b
+            while parent[base + rb] != rb:
+                rb = parent[base + rb]
             if ra == rb:
                 return False
             # coverage: every remaining color must still be reachable at a, b
@@ -127,25 +135,18 @@ def search(
                 h = tri_index[b * num_vertices + w]
                 if colors[g] == c and colors[h] == c:
                     return False
-        # conflict propagation with wipeout detection
-        wipeout = False
-        for j in range(adj_start[e], adj_start[e + 1]):
-            f = adj_flat[j]
-            fc = f * m + c
-            conflicts[fc] += 1
-            if conflicts[fc] == 1:
-                forbidden[f] += 1
-                if forbidden[f] == m and colors[f] < 0:
-                    wipeout = True
-        if wipeout:
-            for j in range(adj_start[e], adj_start[e + 1]):
-                f = adj_flat[j]
-                fc = f * m + c
-                conflicts[fc] -= 1
-                if conflicts[fc] == 0:
-                    forbidden[f] -= 1
+        # wipeout: an unassigned edge newly blocked in c has no colour left
+        prev_blocked = blocked[c]
+        wiped = cross[e] & ~prev_blocked & free
+        for d in others[c]:
+            if not wiped:
+                break
+            wiped &= blocked[d]
+        if wiped:
             return False
         # commit
+        blocked[c] = prev_blocked | cross[e]
+        free ^= bit[e]
         colors[e] = c
         count[c] += 1
         avail[a] -= 1
@@ -180,7 +181,7 @@ def search(
         prev_max = max_used
         if c > max_used:
             max_used = c
-        trail[depth] = (e, c, union_child, union_winner, int_a, int_b, prev_max)
+        trail[depth] = (e, c, union_child, union_winner, int_a, int_b, prev_max, prev_blocked)
         nodes += 1
         if depth + 1 > max_depth:
             max_depth = depth + 1
@@ -188,8 +189,8 @@ def search(
         return True
 
     def unassign(depth):
-        nonlocal max_used
-        e, c, union_child, union_winner, int_a, int_b, prev_max = trail[depth]
+        nonlocal max_used, free
+        e, c, union_child, union_winner, int_a, int_b, prev_max, prev_blocked = trail[depth]
         a = ea[e]
         b = eb[e]
         base = c * num_vertices
@@ -215,12 +216,8 @@ def search(
         avail[b] += 1
         count[c] -= 1
         colors[e] = -1
-        for j in range(adj_start[e], adj_start[e + 1]):
-            f = adj_flat[j]
-            fc = f * m + c
-            conflicts[fc] -= 1
-            if conflicts[fc] == 0:
-                forbidden[f] -= 1
+        blocked[c] = prev_blocked
+        free ^= bit[e]
 
     depth = 0
     choice = [-1] * (n_edges + 1)
@@ -241,13 +238,13 @@ def search(
             hi = lo
         else:
             lo = 0
-            hi = min(m - 1, max_used + 1) if symmetry_breaking else m - 1
+            hi = (max_used + 1 if max_used + 1 < m else m - 1) if symmetry_breaking else m - 1
         c = choice[depth] + 1
         if c < lo:
             c = lo
         advanced = False
         while c <= hi:
-            if try_assign(e, c, depth):
+            if not blocked[c] >> e & 1 and try_assign(e, c, depth):
                 choice[depth] = c
                 depth += 1
                 choice[depth] = -1

@@ -21,8 +21,6 @@ class SolveConfig:
     enforce_triangle: bool = False
     node_limit: int = 0  # 0 = unlimited
     time_limit: float = 0.0  # seconds, 0 = unlimited
-    seed: int = 0  # reserved; the search is deterministic
-    parallel_width: int = 1  # accepted, currently executed sequentially
     symmetry_breaking: bool = True
 
     def __post_init__(self):

@@ -97,9 +97,6 @@ class WheelModel:
         """All edges of the complete graph, in lexicographic order."""
         return list(wheel_tables(self).edges)
 
-    def is_radial(self, e: EdgeId) -> bool:
-        return e[0] == 0
-
     def far_arc(self, e: EdgeId) -> list[int]:
         """Hull vertices strictly inside the arc on the far side of a
         non-radial edge (the side away from the center vertex).

@@ -77,6 +77,31 @@ class TestSolve:
         assert out.status == "LIMIT"
         assert out.stats["nodes"] <= 11
 
+    def test_time_limit_reports_limit(self):
+        # the clock is read every 2**16 nodes, so the first reading stops it;
+        # BW_{3,7} tree needs millions of nodes to finish
+        out = solve(build_bumpy_wheel(3, 7), SolveConfig(mode=MODE_TREE, time_limit=1e-6))
+        assert out.status == "LIMIT"
+        assert out.stats["nodes"] == 65536
+
+    # (status, nodes, fingerprint) as recorded for the benchmark's solve ladder
+    # in perfbench/results/baseline.json: any change to the search tree shows here
+    @pytest.mark.parametrize(
+        "sizes,mode,all_solutions,expected",
+        [
+            ((3, 3, 3), MODE_TREE, False, ("SAT", 108, "860680bab3ad1da5")),
+            ((3, 3, 3), MODE_DOUBLE_STAR, False, ("UNSAT", 318, "73b30a7f9e7406ae")),
+            ((3, 3, 3), MODE_TREE, True, ("SAT", 7121, "9c05fc68cb6e34d0")),
+            ((5, 5, 5), MODE_SUBGRAPH, False, ("SAT", 2487, "85780eaf58c6dc59")),
+            ((5, 5, 5), MODE_TREE, False, ("UNSAT", 39773, "fe71649756df3c78")),
+            ((2, 3, 3, 4, 3), MODE_TREE, False, ("SAT", 128972, "c17ac91ca12d7cba")),
+        ],
+        ids=["bw33-tree", "bw33-double-star", "bw33-tree-all", "bw35-subgraph", "bw35-tree", "gw23343-tree"],
+    )
+    def test_search_tree_pinned(self, sizes, mode, all_solutions, expected):
+        out = solve(build_generalized_wheel(list(sizes)), SolveConfig(mode=mode), all_solutions=all_solutions)
+        assert (out.status, out.stats["nodes"], out.stats["fingerprint"]) == expected
+
     def test_symmetry_breaking_preserves_status(self, bw33):
         with_sb = solve(bw33, SolveConfig(mode=MODE_TREE, symmetry_breaking=True))
         without = solve(bw33, SolveConfig(mode=MODE_TREE, symmetry_breaking=False))
