@@ -1,17 +1,20 @@
-"""Compare the compiled search kernel against the pure Python reference.
+"""Compare the compiled search kernel, `kernel.c`, against the pure Python
+reference.
 
-Both backends must agree on status, node count, and search fingerprint;
-the point of the benchmark is the wall-time ratio.
+The compiled twin is built with `ckernel.build` (the `cc` on PATH) into a
+temporary directory.  Both kernels must agree on status, node count and search
+fingerprint; the point of the benchmark is the python/C wall-time ratio.
 
 Usage: python benchmarks/bench_backends.py
 """
 
 from __future__ import annotations
 
+import tempfile
 import time
 
 import planewheel._core as core
-from planewheel._core import backends
+from planewheel._core import ckernel, search_py
 from planewheel.partition import MODE_DOUBLE_STAR, MODE_SUBGRAPH, MODE_TREE
 from planewheel.solver import SolveConfig, solve
 from planewheel.wheelgeom import build_bumpy_wheel, build_generalized_wheel
@@ -38,28 +41,23 @@ def run_backend(fn, model, mode):
 
 
 def main():
-    avail = backends()
-    names = sorted(avail)
-    print(f"backends: {', '.join(names)}")
-    header = f"{'instance':<24}" + "".join(f"{n:>12}" for n in names) + f"{'ratio':>9}"
-    print(header)
-    print("-" * len(header))
-    for label, model, mode in INSTANCES:
-        results = {}
-        walls = {}
-        for n in names:
-            out, wall = run_backend(avail[n], model, mode)
-            results[n] = (out.status, out.stats["nodes"], out.stats["fingerprint"])
-            walls[n] = wall
-        agree = len(set(results.values())) == 1
-        status, nodes, _ = results[names[0]]
-        row = f"{label:<24}" + "".join(f"{walls[n]:>11.3f}s" for n in names)
-        if "python" in walls and "compiled" in walls and walls["compiled"] > 0:
-            row += f"{walls['python'] / walls['compiled']:>8.1f}x"
-        print(row + f"   {status} nodes={nodes}" + ("" if agree else "   MISMATCH"))
-        if not agree:
-            raise SystemExit(f"backend disagreement on {label}: {results}")
-    print("all backends agree on status, nodes, and fingerprint")
+    with tempfile.TemporaryDirectory() as tmp:
+        kernels = {"python": search_py.search, "C": ckernel.load(ckernel.build(tmp))}
+        header = f"{'instance':<24}" + "".join(f"{n:>12}" for n in kernels) + f"{'python/C':>10}"
+        print(header)
+        print("-" * len(header))
+        for label, model, mode in INSTANCES:
+            results = {}
+            walls = {}
+            for name, fn in kernels.items():
+                out, walls[name] = run_backend(fn, model, mode)
+                results[name] = (out.status, out.stats["nodes"], out.stats["fingerprint"])
+            status, nodes, _ = results["python"]
+            row = f"{label:<24}" + "".join(f"{w:>11.3f}s" for w in walls.values())
+            print(row + f"{walls['python'] / walls['C']:>9.1f}x   {status} nodes={nodes}")
+            if results["python"] != results["C"]:
+                raise SystemExit(f"backend disagreement on {label}: {results}")
+    print("both kernels agree on status, nodes, and fingerprint")
 
 
 if __name__ == "__main__":

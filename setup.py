@@ -1,18 +1,3 @@
-import os
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-ext_modules = []
-if os.environ.get("PLANEWHEEL_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("planewheel._core._search", ["src/planewheel/_core/_search.pyx"])],
-            language_level="3",
-        )
-    except ImportError:
-        # pure-Python fallback is selected at import time
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup()

@@ -1,23 +1,16 @@
-"""Search kernel backends.  The compiled extension is preferred; the pure
-Python twin is the fallback and the behavioral reference."""
+"""Search kernel backends.  The package runs the pure-Python kernel
+`search_py`, which is also the behavioural reference.  Its compiled twin,
+`kernel.c`, is built and loaded on demand through `ckernel` by the
+backend-equivalence tests and `benchmarks/bench_backends.py`; importing the
+package never loads it."""
 
-try:
-    from planewheel._core import _search as _impl
+from planewheel._core import search_py
 
-    BACKEND = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    from planewheel._core import search_py as _impl
+BACKEND = "python"
 
-    BACKEND = "python"
-
-search = _impl.search
+search = search_py.search
 
 
 def backends():
-    """All importable backends, for benchmarks and equivalence tests."""
-    from planewheel._core import search_py
-
-    out = {"python": search_py.search}
-    if BACKEND == "compiled":
-        out["compiled"] = _impl.search
-    return out
+    """Every backend the package can run, by name, for benchmarks."""
+    return {"python": search}

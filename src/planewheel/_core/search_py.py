@@ -1,11 +1,11 @@
 """Pure-Python backtracking kernel for the partition solver.
 
-The compiled extension `_search` searches the identical tree: both backends
-must produce the same status, node count, max depth, search fingerprint and
-witness for the same input.  They need not agree line by line -- this kernel
-keeps crossing conflicts as per-colour bitsets over Python ints, the compiled
-one as counts -- but any change to the branching order or to a pruning
-condition must be made in both.
+Its compiled twin, `kernel.c` (built and loaded by `ckernel`), searches the
+identical tree: both must produce the same status, node count, max depth,
+search fingerprint, witness and list of solutions for the same input.  They
+need not agree line by line -- this kernel keeps crossing conflicts as
+per-colour bitsets over Python ints, `kernel.c` as per-edge counts -- but any
+change to the branching order or to a pruning condition must be made in both.
 
 Modes: 0 = plane subgraph coloring, 1 = spanning trees, 2 = double stars.
 """

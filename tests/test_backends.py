@@ -1,26 +1,27 @@
 """The compiled kernel and the pure Python reference must be observably
-identical: same status, node count, max depth, search fingerprint and witness.
+identical: same status, node count, max depth, search fingerprint, witness and
+list of solutions, also when a node or time limit stops them.
 
-The compiled twin is built from the checked-in `_search.c` into a temporary
-directory and loaded from there, so the contract runs wherever a C compiler
-and the Python headers are present, and the package keeps the backend it
-selected at import."""
+The compiled twin is built from `kernel.c` with `ckernel.build` into a
+temporary directory and loaded with ctypes, so the contract runs wherever a C
+compiler is on PATH.  The package itself keeps running `search_py`."""
 
-import importlib.util
+import inspect
 import shutil
 import subprocess
-import sysconfig
+import sys
 from pathlib import Path
 
 import pytest
 
+import planewheel
 import planewheel._core as core
-from planewheel._core import BACKEND, backends, search_py
+from planewheel._core import BACKEND, backends, ckernel, search_py
 from planewheel.partition import MODE_DOUBLE_STAR, MODE_SUBGRAPH, MODE_TREE
 from planewheel.solver import SolveConfig, solve
 from planewheel.wheelgeom import build_bumpy_wheel, build_generalized_wheel
 
-KERNEL_C = Path(core.__file__).with_name("_search.c")
+CLOCK_READ_NODES = 1 << 16  # both kernels read the clock every 2^16 nodes
 
 INSTANCES = [
     (build_bumpy_wheel(3, 3), MODE_TREE, {}),
@@ -31,22 +32,18 @@ INSTANCES = [
     (build_generalized_wheel([1, 2, 4]), MODE_TREE, {}),
     (build_bumpy_wheel(3, 3), MODE_SUBGRAPH, {"enforce_triangle": True}),
     (build_bumpy_wheel(3, 3), MODE_DOUBLE_STAR, {"symmetry_breaking": False}),
+    (build_bumpy_wheel(3, 5), MODE_TREE, {"node_limit": 1000}),
+    (build_bumpy_wheel(3, 7), MODE_TREE, {"time_limit": 1e-6}),
 ]
 
 
 @pytest.fixture(scope="session")
 def compiled_search(tmp_path_factory):
-    """`search` of the compiled twin, built from `_search.c` with `cc`."""
-    cc = shutil.which("cc")
-    include = sysconfig.get_paths()["include"]
-    if cc is None or not Path(include, "Python.h").exists():
-        pytest.skip("no C compiler or no Python headers")
-    out = tmp_path_factory.mktemp("kernel") / ("_search" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run([cc, "-shared", "-fPIC", "-O2", "-w", f"-I{include}", str(KERNEL_C), "-o", str(out)], check=True)
-    spec = importlib.util.spec_from_file_location("planewheel._core._search", out)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.search
+    """`search` of the compiled twin, built from `kernel.c` with every warning an error."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    lib = ckernel.build(tmp_path_factory.mktemp("kernel"), cflags=("-O2", "-Wall", "-Wextra", "-Werror"))
+    return ckernel.load(lib)
 
 
 def run_with(fn, model, mode, cfg=None, **kwargs):
@@ -59,8 +56,22 @@ def run_with(fn, model, mode, cfg=None, **kwargs):
 
 
 def test_default_backend_loaded():
-    assert BACKEND in ("python", "compiled")
-    assert "python" in backends()
+    assert BACKEND == "python"
+    assert backends() == {"python": search_py.search}
+
+
+def test_import_leaves_ctypes_unloaded():
+    src = Path(planewheel.__file__).parents[1]
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import planewheel; print('ctypes' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_compiled_interface(compiled_search):
+    assert inspect.signature(compiled_search) == inspect.signature(search_py.search)
+    # one edge (0, 5) on 2 vertices: the bad index is refused before any pointer reaches C
+    with pytest.raises(ValueError):
+        compiled_search(2, 1, 1, [0], [5], [0, 0], [], [0], 0, [], 0, False, False, None, 0, 0.0, True, False)
 
 
 @pytest.mark.parametrize("model,mode,cfg", INSTANCES)
@@ -74,6 +85,10 @@ def test_backends_agree(compiled_search, model, mode, cfg):
         assert out.witness is None
     else:
         assert out.witness.color == ref.witness.color
+    if "node_limit" in cfg:
+        assert (ref.status, ref.stats["nodes"]) == ("LIMIT", cfg["node_limit"])
+    if "time_limit" in cfg:
+        assert (ref.status, ref.stats["nodes"]) == ("LIMIT", CLOCK_READ_NODES)
 
 
 def test_backends_agree_all_solutions(compiled_search):

@@ -116,7 +116,7 @@ class TestSolve:
         out = solve(bw33, SolveConfig(mode=MODE_TREE))
         assert out.stats["nodes"] > 0
         assert len(out.stats["fingerprint"]) == 16
-        assert out.stats["backend"] in ("python", "compiled")
+        assert out.stats["backend"] == "python"
 
     def test_deterministic(self, bw33):
         a = solve(bw33, SolveConfig(mode=MODE_TREE))
