@@ -18,6 +18,7 @@ from .search_py import MODE_DOUBLE_STAR, STATUS_LIMIT, STATUS_SAT, STATUS_UNSAT
 KERNEL_C = Path(__file__).with_name("kernel.c")
 STATUS = {0: STATUS_UNSAT, 1: STATUS_SAT, 2: STATUS_LIMIT}
 NO_MEMORY = -1
+CFLAGS = ("-O2", "-Wall", "-Wextra", "-Werror")
 
 _INT, _INTS = ctypes.c_int, ctypes.POINTER(ctypes.c_int)
 _LEAF = ctypes.CFUNCTYPE(None, _INTS)
@@ -31,13 +32,13 @@ _ARGTYPES = (
 )
 
 
-def build(directory, cflags=("-O2",)) -> Path:
-    """Compile kernel.c into `directory` and return the library's path."""
+def build(directory) -> Path:
+    """Compile kernel.c into `directory`, every warning an error, and return the library's path."""
     cc = shutil.which("cc")
     if cc is None:
         raise FileNotFoundError("no C compiler `cc` on PATH")
     out = Path(directory) / "planewheel_kernel.so"
-    subprocess.run([cc, "-shared", "-fPIC", *cflags, str(KERNEL_C), "-o", str(out)], check=True)
+    subprocess.run([cc, "-shared", "-fPIC", *CFLAGS, str(KERNEL_C), "-o", str(out)], check=True)
     return out
 
 
