@@ -23,7 +23,7 @@ CFLAGS = ("-O2", "-Wall", "-Wextra", "-Werror")
 _INT, _INTS = ctypes.c_int, ctypes.POINTER(ctypes.c_int)
 _LEAF = ctypes.CFUNCTYPE(None, _INTS)
 _ARGTYPES = (
-    [_INT] * 4  # num_vertices, m, class_size, n_edges
+    [_INT] * 3  # num_vertices, m, n_edges
     + [_INTS] * 5  # ea, eb, adj_start, adj_flat, order
     + [_INT, _INTS, _INT, _INT, _INT, _INTS]  # pre_count, pre_colors, mode, enforce_*, tri_index
     + [ctypes.c_longlong, ctypes.c_double, _INT, _INT, _LEAF]  # limits, symmetry, collect_all, on_leaf
@@ -56,9 +56,8 @@ def load(path):
     fn.argtypes = _ARGTYPES
     fn.restype = ctypes.c_int
 
-    def search(num_vertices, m, class_size, ea, eb, adj_start, adj_flat, order, pre_count, pre_colors,
-               mode, enforce_class_size, enforce_triangle, tri_index, node_limit, time_limit,
-               symmetry_breaking, collect_all):
+    def search(num_vertices, m, ea, eb, adj_start, adj_flat, order, pre_colors, mode, enforce_class_size,
+               enforce_triangle, tri_index, node_limit, time_limit, symmetry_breaking, collect_all):
         n = len(ea)
         if tri_index is None:  # only the triangle rule and double stars read it
             tri_ok = not (enforce_triangle or mode == MODE_DOUBLE_STAR)
@@ -68,7 +67,7 @@ def load(path):
             len(eb) == len(order) == n == len(adj_start) - 1
             and _within(ea, num_vertices) and _within(eb, num_vertices) and _within(order, n)
             and _within(adj_start, len(adj_flat) + 1) and _within(adj_flat, n)
-            and 0 <= pre_count <= len(pre_colors) and _within(pre_colors[:pre_count], m)
+            and _within(pre_colors, m)
             and tri_ok
         ):
             raise ValueError("kernel input sizes or indices out of range")
@@ -78,8 +77,8 @@ def load(path):
         nodes, max_depth = ctypes.c_longlong(), ctypes.c_int()
         fingerprint, elapsed = ctypes.c_uint64(), ctypes.c_double()
         code = fn(
-            num_vertices, m, class_size, n, _ints(ea), _ints(eb), _ints(adj_start), _ints(adj_flat),
-            _ints(order), pre_count, _ints(pre_colors), mode, enforce_class_size, enforce_triangle,
+            num_vertices, m, n, _ints(ea), _ints(eb), _ints(adj_start), _ints(adj_flat),
+            _ints(order), len(pre_colors), _ints(pre_colors), mode, enforce_class_size, enforce_triangle,
             None if tri_index is None else _ints(tri_index), node_limit or 0, time_limit or 0.0,
             symmetry_breaking, collect_all, on_leaf, witness, ctypes.byref(nodes), ctypes.byref(max_depth),
             ctypes.byref(fingerprint), ctypes.byref(elapsed),

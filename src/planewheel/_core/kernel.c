@@ -31,7 +31,7 @@ enum { PW_UNSAT = 0, PW_SAT = 1, PW_LIMIT = 2, PW_NO_MEMORY = -1 };
 typedef void (*pw_leaf_fn)(const int *colors);
 
 typedef struct {
-    int nv, m, class_size, mode, structural, enforce_class_size, enforce_triangle;
+    int nv, m, mode, structural, enforce_class_size, enforce_triangle;
     const int *ea, *eb, *adj_start, *adj_flat, *tri_index;
     int *colors, *conflicts, *forbidden, *count;
     /* per-colour union-find (no path compression, union by size, rollbackable) */
@@ -82,7 +82,7 @@ static int try_assign(Kernel *k, int e, int c, int depth) {
     int ra = -1, rb = -1;
     if (k->conflicts[e * m + c] > 0)
         return 0;
-    if (k->enforce_class_size && k->count[c] >= k->class_size)
+    if (k->enforce_class_size && k->count[c] >= nv - 1) /* a spanning tree's edge count */
         return 0;
     if (k->structural) {
         ra = find(k->parent, base, a);
@@ -205,6 +205,7 @@ static void unassign(Kernel *k, int depth) {
 /* Searches for a colouring of the n_edges edges (ea[i], eb[i]) with m colours.
    adj_start/adj_flat hold the crossing graph as compressed sparse rows; edges
    are branched on in `order`, and the first pre_count of them get pre_colors.
+   With enforce_class_size, a colour holds at most nv - 1 edges.
    tri_index (nv * nv, edge index of each vertex pair) may be NULL unless
    enforce_triangle is set or mode is MODE_DOUBLE_STAR.  node_limit and
    time_limit are off at 0; the clock is read every 2^16 nodes.  With
@@ -214,7 +215,7 @@ static void unassign(Kernel *k, int depth) {
    (n_edges ints, written on PW_SAT unless collect_all), nodes, max_depth,
    fingerprint and elapsed seconds.  Returns PW_NO_MEMORY if an allocation
    fails. */
-int pw_search(int nv, int m, int class_size, int n_edges, const int *ea, const int *eb,
+int pw_search(int nv, int m, int n_edges, const int *ea, const int *eb,
               const int *adj_start, const int *adj_flat, const int *order, int pre_count,
               const int *pre_colors, int mode, int enforce_class_size, int enforce_triangle,
               const int *tri_index, long long node_limit, double time_limit,
@@ -223,7 +224,7 @@ int pw_search(int nv, int m, int class_size, int n_edges, const int *ea, const i
               double *elapsed_out) {
     double t0 = now();
     size_t ne = (size_t)n_edges + 1, nm = (size_t)m * (size_t)nv + 1;
-    Kernel k = {.nv = nv, .m = m, .class_size = class_size, .mode = mode,
+    Kernel k = {.nv = nv, .m = m, .mode = mode,
                 .structural = mode != MODE_SUBGRAPH, .enforce_class_size = enforce_class_size,
                 .enforce_triangle = enforce_triangle, .ea = ea, .eb = eb, .adj_start = adj_start,
                 .adj_flat = adj_flat, .tri_index = tri_index, .max_used = -1};

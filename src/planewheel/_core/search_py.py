@@ -30,13 +30,11 @@ STATUS_LIMIT = "LIMIT"
 def search(
     num_vertices,
     m,
-    class_size,
     ea,
     eb,
     adj_start,
     adj_flat,
     order,
-    pre_count,
     pre_colors,
     mode,
     enforce_class_size,
@@ -49,6 +47,8 @@ def search(
 ):
     n_edges = len(ea)
     t0 = time.monotonic()
+    class_size = num_vertices - 1  # the edge count of a spanning tree
+    pre_count = len(pre_colors)  # the first pre_count edges of `order` get pre_colors
 
     colors = [-1] * n_edges
     bit = [1 << e for e in range(n_edges)]

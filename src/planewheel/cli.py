@@ -61,9 +61,13 @@ def _write(path: str | None, text: str):
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise CliError(f"no such file: {path}", 2)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}", 2)
+    except UnicodeDecodeError:
+        raise CliError(f"{path} is not UTF-8 text", 2)
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}", 2)
 

@@ -15,6 +15,8 @@ from .wheelgeom import (
     EdgeId,
     PointSet,
     WheelModel,
+    _orient_idx,
+    _point_in_triangle,
     edge,
     realize_coordinates,
     segments_cross,
@@ -154,50 +156,30 @@ def potential_matching(model: WheelModel, v: int) -> Matching:
     return Matching(model=model, pairs=tuple(pairs))
 
 
-def _line_intersection(p1, p2, q1, q2):
-    d1 = (p2[0] - p1[0], p2[1] - p1[1])
-    d2 = (q2[0] - q1[0], q2[1] - q1[1])
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    if den == 0:
-        return None
-    t = ((q1[0] - p1[0]) * d2[1] - (q1[1] - p1[1]) * d2[0]) / den
-    return (p1[0] + t * d1[0], p1[1] + t * d1[1])
-
-
-def _on_segment(s, p, q) -> bool:
-    """s is on the line through p, q; is it strictly inside the segment?"""
-    lo_x, hi_x = min(p[0], q[0]), max(p[0], q[0])
-    lo_y, hi_y = min(p[1], q[1]), max(p[1], q[1])
-    return lo_x < s[0] < hi_x if p[0] != q[0] else lo_y < s[1] < hi_y
+def _splits(ps: PointSet, e: EdgeId, f: EdgeId) -> bool:
+    """The supporting line of e separates the endpoints of f, read from the
+    order type.  Assumes general position."""
+    return _orient_idx(ps, *e, f[0]) != _orient_idx(ps, *e, f[1])
 
 
 def stabs(e: EdgeId, f: EdgeId, ps: PointSet) -> Optional[int]:
     """If the supporting lines meet at s with s inside f but outside e, e
-    stabs f; returns e's endpoint closer to s."""
+    stabs f; returns e's endpoint closer to s.  That endpoint lies between s
+    and the other one, so it is the one inside the triangle formed by the
+    other endpoint and f.  Assumes general position."""
     if set(e) & set(f):
         raise ValueError("stabbing is defined for disjoint edges")
-    p1, p2 = ps.points[e[0]], ps.points[e[1]]
-    q1, q2 = ps.points[f[0]], ps.points[f[1]]
-    s = _line_intersection(p1, p2, q1, q2)
-    if s is None:
+    if not _splits(ps, e, f) or _splits(ps, f, e):
         return None
-    if not _on_segment(s, q1, q2) or _on_segment(s, p1, p2):
-        return None
-    d1 = (p1[0] - s[0]) ** 2 + (p1[1] - s[1]) ** 2
-    d2 = (p2[0] - s[0]) ** 2 + (p2[1] - s[1]) ** 2
-    return e[0] if d1 < d2 else e[1]
+    return e[0] if _point_in_triangle(ps, e[0], e[1], *f) else e[1]
 
 
 def parallel(e: EdgeId, f: EdgeId, ps: PointSet) -> bool:
-    """Supporting lines meet outside both segments (or not at all)."""
+    """Supporting lines meet outside both segments (or not at all).  Assumes
+    general position."""
     if set(e) & set(f):
         raise ValueError("parallelism is defined for disjoint edges")
-    p1, p2 = ps.points[e[0]], ps.points[e[1]]
-    q1, q2 = ps.points[f[0]], ps.points[f[1]]
-    s = _line_intersection(p1, p2, q1, q2)
-    if s is None:
-        return True
-    return not _on_segment(s, p1, p2) and not _on_segment(s, q1, q2)
+    return not _splits(ps, e, f) and not _splits(ps, f, e)
 
 
 def cross_blocker(e: EdgeId, f: EdgeId, g: EdgeId, ps: PointSet) -> bool:
@@ -209,8 +191,6 @@ def cross_blocker(e: EdgeId, f: EdgeId, g: EdgeId, ps: PointSet) -> bool:
         return False
     if not segments_cross(f, g, ps):
         return False
-    from .wheelgeom import _orient_idx
-
     v0 = ps.interior_index
     quad = (f[0], g[0], f[1], g[1])  # convex cyclic order since f, g cross
     signs = {_orient_idx(ps, quad[i], quad[(i + 1) % 4], v0) for i in range(4)}

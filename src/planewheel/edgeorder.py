@@ -1,8 +1,7 @@
-"""Order machinery on wheel edges: classification, far sides, the closer-than
-partial order, spans and apexes, opposite groups, special wedges, and the
-forced-edge distance template.
+"""Order machinery on wheel edges: the closer-than partial order, spans and
+apexes, special wedges, and the forced-edge distance template.
 
-Everything here is computed from the combinatorial model; coordinates are only
+Everything here is read from the model's `WheelTables`; coordinates are only
 used in tests to validate these rules.
 """
 
@@ -11,24 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .wheelgeom import (
-    BOUNDARY,
-    DIAGONAL,
-    RADIAL,
-    EdgeId,
-    WheelModel,
-    combinatorial_cross,
-    edge,
-    is_bumpy,
-    wheel_tables,
-)
-
-
-@dataclass(frozen=True)
-class EdgeClass:
-    kind: str
-    far_arc: tuple[int, ...]  # empty for radial and boundary edges
-    dist: Optional[int]  # None for radial edges
+from .wheelgeom import DIAGONAL, EdgeId, WheelModel, edge, is_bumpy, wheel_tables
 
 
 @dataclass(frozen=True)
@@ -38,20 +20,6 @@ class Span:
     vertices: frozenset[int]
     edges: frozenset[EdgeId]
     apex: Optional[frozenset[int]]
-
-
-def classify_edge(model: WheelModel, e: EdgeId) -> EdgeClass:
-    if e[0] == 0:
-        return EdgeClass(kind=RADIAL, far_arc=(), dist=None)
-    arc = tuple(model.far_arc(e))
-    kind = BOUNDARY if not arc else DIAGONAL
-    return EdgeClass(kind=kind, far_arc=arc, dist=len(arc) + 1)
-
-
-def far_side_vertices(model: WheelModel, e: EdgeId) -> set[int]:
-    if e[0] == 0:
-        raise ValueError("radial edges have no far side")
-    return set(model.far_arc(e))
 
 
 def dist(model: WheelModel, e: EdgeId) -> int:
@@ -65,13 +33,6 @@ def d_value(k: int, ell: int, i: int) -> int:
     if not 1 <= i <= top:
         raise ValueError(f"index i out of range 1..{top}: {i}")
     return (k + 1) // 2 * ell - i
-
-
-def arc_endpoints(model: WheelModel, e: EdgeId) -> tuple[int, int]:
-    """Endpoints of a non-radial edge ordered so the far arc runs clockwise
-    from the first to the second."""
-    t = wheel_tables(model)
-    return t.arc_endpoints[t.key(e, "radial edge")]
 
 
 def closer_than(model: WheelModel, e: EdgeId, f: EdgeId) -> bool:
@@ -103,16 +64,17 @@ def span(model: WheelModel, e: EdgeId, f: EdgeId) -> Span:
     Incomparable: the region containing v_0, cl(e+ ∩ f+).  Vertices follow
     from arc arithmetic; the edge set is every edge inside by convexity.
     """
-    if e[0] == 0 or f[0] == 0:
-        raise ValueError("span is defined for non-radial edges only")
+    t = wheel_tables(model)
+    e = t.key(e, "span is defined for non-radial edges only")
+    f = t.key(f, "span is defined for non-radial edges only")
     if e == f:
         raise ValueError("span needs two distinct edges")
-    if combinatorial_cross(model, e, f):
+    if t.crossings[t.index[e]][t.index[f]]:
         raise ValueError("span undefined for crossing edges")
 
-    hull = set(range(1, model.hull_count + 1))
-    arc_e = far_side_vertices(model, e)
-    arc_f = far_side_vertices(model, f)
+    hull = set(range(1, t.hull_count + 1))
+    arc_e = set(model.far_arc(e))
+    arc_f = set(model.far_arc(f))
     apex: Optional[frozenset[int]] = None
     if closer_than(model, e, f):
         verts = (arc_f | set(f)) - arc_e
@@ -120,7 +82,7 @@ def span(model: WheelModel, e: EdgeId, f: EdgeId) -> Span:
         verts = (arc_e | set(e)) - arc_f
     else:
         verts = (hull - arc_e - arc_f) | {0}
-        group_of = wheel_tables(model).group_of
+        group_of = t.group_of
         shared = {group_of[e[0]], group_of[e[1]]} & {group_of[f[0]], group_of[f[1]]}
         if shared:
             apex = frozenset(v for v in verts if v != 0 and group_of[v] in shared)
@@ -129,54 +91,35 @@ def span(model: WheelModel, e: EdgeId, f: EdgeId) -> Span:
     return Span(left_edge=e, right_edge=f, vertices=frozenset(verts), edges=es, apex=apex)
 
 
-def opposite_group_pairs(model: WheelModel) -> list[tuple[int, int]]:
-    return list(wheel_tables(model).opposite_pairs)
-
-
-class VertexRoles:
-    """Outmost (first/last of each group), inside, and center vertices."""
-
-    def __init__(self, model: WheelModel):
-        self.outmost: set[int] = set()
-        self.inside: set[int] = set()
-        self.centers: dict[int, int] = {}
-        for g in range(1, model.k + 1):
-            vs = list(model.group_vertices(g))
-            self.outmost.add(vs[0])
-            self.outmost.add(vs[-1])
-            self.inside.update(vs[1:-1])
-            if len(vs) % 2 == 1:
-                self.centers[g] = vs[len(vs) // 2]
-
-
 def is_special_wedge(model: WheelModel, e: EdgeId, f: EdgeId) -> Optional[frozenset[int]]:
     """Some(apex) iff e and f are non-crossing diagonals where one endpoint of
     each forms a consecutive outmost pair (last of group j, first of group
     j+1) and the remaining endpoints are inside vertices of the group opposite
-    that pair."""
-    ce, cf = classify_edge(model, e), classify_edge(model, f)
-    if ce.kind != DIAGONAL or cf.kind != DIAGONAL:
+    that pair.  An inside vertex shares its group with both hull neighbours."""
+    if 0 in e or 0 in f:
         return None
-    if combinatorial_cross(model, e, f) or e == f:
+    t = wheel_tables(model)
+    e, f = t.key(e, "radial edge"), t.key(f, "radial edge")
+    if t.kind[e] != DIAGONAL or t.kind[f] != DIAGONAL or e == f or t.crossings[t.index[e]][t.index[f]]:
         return None
-    roles = VertexRoles(model)
-    group_of = wheel_tables(model).group_of
-    k = model.k
-    for a in e:
-        for b in f:
-            if a not in roles.outmost or b not in roles.outmost:
+    group_of, h, k = t.group_of, t.hull_count, model.k
+
+    def inside(v: int) -> bool:
+        return group_of[(v - 2) % h + 1] == group_of[v] == group_of[v % h + 1]
+
+    for a, a2 in (e, e[::-1]):
+        for b, b2 in (f, f[::-1]):
+            # a, b consecutive on the hull, in adjacent groups: both are outmost
+            if group_of[a] == group_of[b]:
                 continue
-            # a, b consecutive on the hull, in adjacent groups
-            if model.hull_succ(a) == b and group_of[a] != group_of[b]:
+            if a % h + 1 == b:
                 j = group_of[a]
-            elif model.hull_succ(b) == a and group_of[a] != group_of[b]:
+            elif b % h + 1 == a:
                 j = group_of[b]
             else:
                 continue
             opp = (j + (k + 1) // 2 - 1) % k + 1
-            a2 = e[0] if e[1] == a else e[1]
-            b2 = f[0] if f[1] == b else f[1]
-            if a2 in roles.inside and b2 in roles.inside and group_of[a2] == opp and group_of[b2] == opp:
+            if group_of[a2] == group_of[b2] == opp and inside(a2) and inside(b2):
                 return span(model, e, f).apex
     return None
 
@@ -209,4 +152,4 @@ def forced_edge_template(model: WheelModel) -> dict[tuple[int, int], list[int]]:
     ell = model.sizes[0]
     k = model.k
     slots = [d_value(k, ell, i) for i in range(1, ell + 1)]
-    return {pair: list(slots) for pair in opposite_group_pairs(model)}
+    return {pair: list(slots) for pair in wheel_tables(model).opposite_pairs}

@@ -340,12 +340,6 @@ def _audit_forced_edges(rep, model, t, maxd, nv):
 # they live with the tables in wheelgeom)
 
 
-def model_symmetries(model: WheelModel, symmetry: str = SYM_FULL) -> list[tuple[int, ...]]:
-    """Vertex permutations (as image tuples over 0..2n-1) induced by circular
-    symmetries of the group-size sequence; v_0 is always fixed."""
-    return list(wheel_tables(model).symmetries(symmetry))
-
-
 def _renumber(colors: list[int]) -> bytes:
     remap: dict[int, int] = {}
     out = bytearray()

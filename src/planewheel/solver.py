@@ -26,6 +26,11 @@ class SolveConfig:
     def __post_init__(self):
         if self.mode not in _MODE_IDS:
             raise ValueError(f"unknown mode {self.mode!r}")
+        # `not x >= 0` also refuses NaN
+        if not self.node_limit >= 0:
+            raise ValueError(f"node_limit must be >= 0, got {self.node_limit}")
+        if not self.time_limit >= 0:
+            raise ValueError(f"time_limit must be >= 0, got {self.time_limit}")
         if self.mode in (MODE_TREE, MODE_DOUBLE_STAR):
             self.enforce_class_size = True
 
@@ -85,10 +90,17 @@ def solve(
         fam = max_crossing_family(model)[:m]
         preassigned = [(e, c) for c, e in enumerate(fam)]
     preassigned = preassigned or []
+    for e, c in preassigned:
+        if e not in index:
+            raise ValueError(f"preassigned edge {e} is not an edge (a, b) of the model with a < b")
+        if c not in range(m):
+            raise ValueError(f"preassigned color {c} of edge {e} is outside 0..{m - 1}")
     pre_idx = [index[e] for e, _ in preassigned]
     pre_colors = [c for _, c in preassigned]
 
     pre_set = set(pre_idx)
+    if len(pre_set) < len(pre_idx):
+        raise ValueError("preassigned repeats an edge")
     rest = sorted(
         (i for i in range(len(edges)) if i not in pre_set),
         key=lambda i: (adj_start[i] - adj_start[i + 1], edges[i]),
@@ -105,13 +117,11 @@ def solve(
     res = _core.search(
         nv,
         m,
-        nv - 1,
         ea,
         eb,
         adj_start,
         adj_flat,
         order,
-        len(pre_idx),
         pre_colors,
         _MODE_IDS[cfg.mode],
         cfg.enforce_class_size,

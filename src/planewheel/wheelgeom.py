@@ -374,53 +374,25 @@ def wheel_tables(model: WheelModel) -> WheelTables:
     return tables
 
 
-def combinatorial_cross(model: WheelModel, e: EdgeId, f: EdgeId) -> bool:
-    """Crossing predicate from the group structure alone: two non-radial
-    edges cross iff their endpoints interleave on the hull; a radial edge
-    crosses a non-radial one iff its hull endpoint lies strictly inside the
-    far-side arc; radial edges never cross each other."""
-    if len({*e, *f}) < 4:
-        return False
-    if e[0] == 0 and f[0] == 0:
-        return False
-    if f[0] == 0:
-        e, f = f, e
-    if e[0] == 0:
-        t = wheel_tables(model)
-        start, length = t.far_arc[t.key(f, "far arc undefined for radial edges")]
-        return (e[1] - start) % t.hull_count < length
-    a, b = e
-    c, d = f
-    # interleaving in circular order; hull ids are already circularly sorted
-    c_in = a < c < b
-    d_in = a < d < b
-    return c_in != d_in
-
-
 class CrossingGraph:
     """Symmetric, irreflexive adjacency: which edges properly cross which.
-    A view over the model's tables."""
+    A view over the model's tables: `edges` and `index` are the tables' own
+    tuple and dict, shared and not to be modified."""
 
     def __init__(self, model: WheelModel):
         t = wheel_tables(model)
         self.model = model
-        self.edges = list(t.edges)
-        self.index = dict(t.index)
+        self.edges = t.edges
+        self.index = t.index
         self._tables = t
         self._adj = t.crossings
 
     def crosses(self, e: EdgeId, f: EdgeId) -> bool:
         return self._adj[self.index[e]][self.index[f]] == 1
 
-    def _row(self, i: int) -> tuple[int, ...]:
-        start, flat = self._tables.adjacency
-        return flat[start[i] : start[i + 1]]
-
-    def neighbors(self, e: EdgeId) -> list[EdgeId]:
-        return [self.edges[j] for j in self._row(self.index[e])]
-
     def neighbor_indices(self, i: int) -> set[int]:
-        return set(self._row(i))
+        start, flat = self._tables.adjacency
+        return set(flat[start[i] : start[i + 1]])
 
     def degree(self, e: EdgeId) -> int:
         start, _ = self._tables.adjacency

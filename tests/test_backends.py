@@ -17,6 +17,7 @@ import pytest
 import planewheel
 import planewheel._core as core
 from planewheel._core import BACKEND, backends, ckernel, search_py
+from planewheel.doublestar import is_spine_matching, potential_matching
 from planewheel.partition import MODE_DOUBLE_STAR, MODE_SUBGRAPH, MODE_TREE
 from planewheel.solver import SolveConfig, solve
 from planewheel.wheelgeom import build_bumpy_wheel, build_generalized_wheel
@@ -69,13 +70,10 @@ def test_compiled_interface(compiled_search):
     assert inspect.signature(compiled_search) == inspect.signature(search_py.search)
     # one edge (0, 5) on 2 vertices: the bad index is refused before any pointer reaches C
     with pytest.raises(ValueError):
-        compiled_search(2, 1, 1, [0], [5], [0, 0], [], [0], 0, [], 0, False, False, None, 0, 0.0, True, False)
+        compiled_search(2, 1, [0], [5], [0, 0], [], [0], [], 0, False, False, None, 0, 0.0, True, False)
 
 
-@pytest.mark.parametrize("model,mode,cfg", INSTANCES)
-def test_backends_agree(compiled_search, model, mode, cfg):
-    ref = run_with(search_py.search, model, mode, cfg)
-    out = run_with(compiled_search, model, mode, cfg)
+def assert_same(ref, out):
     assert out.status == ref.status
     for key in ("nodes", "max_depth", "fingerprint"):
         assert out.stats[key] == ref.stats[key]
@@ -83,8 +81,27 @@ def test_backends_agree(compiled_search, model, mode, cfg):
         assert out.witness is None
     else:
         assert out.witness.color == ref.witness.color
+
+
+@pytest.mark.parametrize("model,mode,cfg", INSTANCES)
+def test_backends_agree(compiled_search, model, mode, cfg):
+    ref = run_with(search_py.search, model, mode, cfg)
+    assert_same(ref, run_with(compiled_search, model, mode, cfg))
     if "node_limit" in cfg or "time_limit" in cfg:
         assert ref.status == "LIMIT"
+
+
+@pytest.mark.parametrize("sizes,spine,status", [((1,) * 9, True, "SAT"), ((2, 2, 1, 1, 1), False, "UNSAT")])
+def test_backends_agree_preassigned(compiled_search, sizes, spine, status):
+    """A matching pinned to distinct classes, as `complete_double_stars`
+    passes a certified spine matching to `solve`."""
+    model = build_generalized_wheel(list(sizes))
+    matching = potential_matching(model, 1)
+    assert is_spine_matching(model, matching).ok == spine
+    pre = [(e, c) for c, e in enumerate(sorted(matching.pairs))]
+    ref = run_with(search_py.search, model, MODE_DOUBLE_STAR, preassigned=pre)
+    assert_same(ref, run_with(compiled_search, model, MODE_DOUBLE_STAR, preassigned=pre))
+    assert ref.status == status and ref.stats["preassigned"] == model.n
 
 
 def test_backends_agree_all_solutions(compiled_search):

@@ -155,6 +155,21 @@ def test_verify_missing_file(capsys):
     assert run(["verify", "/nonexistent/partition.json"]) == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "render"])
+def test_unreadable_partition_path_rejected(tmp_path, capsys, command):
+    # a directory used to end in an IsADirectoryError traceback and exit 1
+    assert run([command, str(tmp_path)]) == 2
+    _one_line_error(capsys, "cannot read")
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+def test_non_utf8_partition_rejected(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"m": "é"}'.encode("latin-1"))
+    assert run([command, str(bad)]) == 2
+    _one_line_error(capsys, "not UTF-8")
+
+
 def test_verify_invalid_partition_fails(tmp_path):
     parts = tmp_path / "parts.json"
     run(["enumerate", "--k", "3", "--emit", "json", "-o", str(parts)])

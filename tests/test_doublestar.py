@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from conftest import random_one_interior_set
 from planewheel import doublestar as ds
 from planewheel.partition import validate_double_stars
 from planewheel.solver import SolveConfig, solve
@@ -142,3 +145,64 @@ class TestCriteria:
     def test_tree_nonpartition_criterion(self):
         assert ds.tree_nonpartition_criterion(build_generalized_wheel([5, 7, 5, 7, 5]))
         assert not ds.tree_nonpartition_criterion(build_bumpy_wheel(3, 3))
+
+
+# The exact rational line-intersection versions of `stabs` and `parallel`
+# that the order-type reads replaced, as they were.
+def rational_meet(p1, p2, q1, q2):
+    d1 = (p2[0] - p1[0], p2[1] - p1[1])
+    d2 = (q2[0] - q1[0], q2[1] - q1[1])
+    den = d1[0] * d2[1] - d1[1] * d2[0]
+    if den == 0:
+        return None
+    t = ((q1[0] - p1[0]) * d2[1] - (q1[1] - p1[1]) * d2[0]) / den
+    return (p1[0] + t * d1[0], p1[1] + t * d1[1])
+
+
+def rational_strictly_inside(s, p, q):
+    lo_x, hi_x = min(p[0], q[0]), max(p[0], q[0])
+    lo_y, hi_y = min(p[1], q[1]), max(p[1], q[1])
+    return lo_x < s[0] < hi_x if p[0] != q[0] else lo_y < s[1] < hi_y
+
+
+def fraction_stabs(e, f, ps):
+    p1, p2 = ps.points[e[0]], ps.points[e[1]]
+    q1, q2 = ps.points[f[0]], ps.points[f[1]]
+    s = rational_meet(p1, p2, q1, q2)
+    if s is None or not rational_strictly_inside(s, q1, q2) or rational_strictly_inside(s, p1, p2):
+        return None
+    d1 = (p1[0] - s[0]) ** 2 + (p1[1] - s[1]) ** 2
+    d2 = (p2[0] - s[0]) ** 2 + (p2[1] - s[1]) ** 2
+    return e[0] if d1 < d2 else e[1]
+
+
+def fraction_parallel(e, f, ps):
+    p1, p2 = ps.points[e[0]], ps.points[e[1]]
+    q1, q2 = ps.points[f[0]], ps.points[f[1]]
+    s = rational_meet(p1, p2, q1, q2)
+    return s is None or (not rational_strictly_inside(s, p1, p2) and not rational_strictly_inside(s, q1, q2))
+
+
+def test_stabs_and_parallel_match_fraction_versions():
+    """Every ordered pair of disjoint edges of realized wheels and of random
+    one-interior-point sets: the same answers as the rational
+    line-intersection versions."""
+    wheels = [(1, 1, 1), (3, 3, 3), (1, 2, 4), (1, 1, 1, 1, 1), (2, 1, 3, 1, 2), (1,) * 7, (1, 3, 1, 3, 1)]
+    rng = random.Random(0)
+    point_sets = [realize_coordinates(build_generalized_wheel(list(sizes))) for sizes in wheels]
+    point_sets += [random_one_interior_set(rng) for _ in range(2)]
+    pairs = stabbing = parallels = 0
+    for ps in point_sets:
+        es = [(a, b) for a in range(len(ps)) for b in range(a + 1, len(ps))]
+        for e in es:
+            for f in es:
+                if set(e) & set(f):
+                    continue
+                hit = ds.stabs(e, f, ps)
+                assert hit == fraction_stabs(e, f, ps), (ps, e, f)
+                par = ds.parallel(e, f, ps)
+                assert par == fraction_parallel(e, f, ps), (ps, e, f)
+                pairs += 1
+                stabbing += hit is not None
+                parallels += par
+    assert (pairs, stabbing, parallels) == (6_066, 372, 3_548)

@@ -1,15 +1,24 @@
 import pytest
 
 from planewheel import edgeorder as eo
-from planewheel.wheelgeom import build_bumpy_wheel, build_generalized_wheel, edge
+from planewheel.wheelgeom import (
+    BOUNDARY,
+    DIAGONAL,
+    RADIAL,
+    build_bumpy_wheel,
+    build_generalized_wheel,
+    edge,
+    wheel_tables,
+)
 
 
 class TestClassify:
     def test_kinds(self, bw33):
-        assert eo.classify_edge(bw33, (0, 4)).kind == eo.RADIAL
-        assert eo.classify_edge(bw33, (1, 2)).kind == eo.BOUNDARY
-        assert eo.classify_edge(bw33, (9, 1)).kind == eo.BOUNDARY
-        assert eo.classify_edge(bw33, (4, 9)).kind == eo.DIAGONAL
+        kind = wheel_tables(bw33).kind
+        assert kind[(0, 4)] == RADIAL
+        assert kind[(1, 2)] == BOUNDARY
+        assert kind[(1, 9)] == BOUNDARY
+        assert kind[(4, 9)] == DIAGONAL
 
     def test_dist(self, bw33):
         assert eo.dist(bw33, (1, 2)) == 1
@@ -28,10 +37,9 @@ class TestClassify:
             eo.d_value(3, 3, 9)
 
     def test_arc_endpoints_clockwise(self, bw33):
-        s, t = eo.arc_endpoints(bw33, (4, 9))
-        assert (s, t) == (4, 9)
-        s, t = eo.arc_endpoints(bw33, (1, 8))
-        assert (s, t) == (8, 1)  # far arc is 9 only
+        arc_endpoints = wheel_tables(bw33).arc_endpoints
+        assert arc_endpoints[(4, 9)] == (4, 9)
+        assert arc_endpoints[(1, 8)] == (8, 1)  # far arc is 9 only
 
 
 class TestCloserThan:
@@ -89,20 +97,13 @@ class TestSpan:
 
 class TestGroupsAndRoles:
     def test_opposite_pairs_k3(self, bw33):
-        assert eo.opposite_group_pairs(bw33) == [(1, 2), (1, 3), (2, 3)]
+        assert wheel_tables(bw33).opposite_pairs == ((1, 2), (1, 3), (2, 3))
 
     def test_opposite_pairs_k5(self):
         m = build_bumpy_wheel(5, 1)
-        assert eo.opposite_group_pairs(m) == [
+        assert wheel_tables(m).opposite_pairs == (
             (1, 3), (1, 4), (2, 4), (2, 5), (3, 5),
-        ]
-
-    def test_vertex_roles(self, bw53):
-        roles = eo.VertexRoles(bw53)
-        assert 1 in roles.outmost and 3 in roles.outmost
-        assert 2 in roles.inside
-        assert roles.centers[1] == 2
-        assert roles.centers[5] == 14
+        )
 
     def test_special_wedge(self):
         m = build_bumpy_wheel(3, 5)
@@ -148,9 +149,112 @@ class TestDistanceStructure:
 
     def test_forced_edge_template(self, bw35):
         tmpl = eo.forced_edge_template(bw35)
-        assert set(tmpl) == set(eo.opposite_group_pairs(bw35))
+        assert set(tmpl) == set(wheel_tables(bw35).opposite_pairs)
         assert all(v == [9, 8, 7, 6, 5] for v in tmpl.values())
 
     def test_forced_edge_template_rejects_generalized(self, gw_mixed):
         with pytest.raises(ValueError):
             eo.forced_edge_template(gw_mixed)
+
+
+# The per-call crossing test, edge classes, vertex roles, span and special
+# wedge that the table reads replaced, as they were.
+def percall_cross(model, e, f):
+    if len({*e, *f}) < 4:
+        return False
+    if e[0] == 0 and f[0] == 0:
+        return False
+    if f[0] == 0:
+        e, f = f, e
+    if e[0] == 0:
+        return e[1] in model.far_arc(f)
+    (a, b), (c, d) = e, f
+    return (a < c < b) != (a < d < b)
+
+
+def percall_kind(model, e):
+    if e[0] == 0:
+        return RADIAL
+    return DIAGONAL if model.far_arc(e) else BOUNDARY
+
+
+def percall_roles(model):
+    outmost, inside = set(), set()
+    for g in range(1, model.k + 1):
+        vs = list(model.group_vertices(g))
+        outmost.update((vs[0], vs[-1]))
+        inside.update(vs[1:-1])
+    return outmost, inside
+
+
+def percall_span(model, e, f):
+    if e[0] == 0 or f[0] == 0 or e == f or percall_cross(model, e, f):
+        raise ValueError
+    hull = set(range(1, model.hull_count + 1))
+    arc_e, arc_f = set(model.far_arc(e)), set(model.far_arc(f))
+    apex = None
+    if eo.closer_than(model, e, f):
+        verts = (arc_f | set(f)) - arc_e
+    elif eo.closer_than(model, f, e):
+        verts = (arc_e | set(e)) - arc_f
+    else:
+        verts = (hull - arc_e - arc_f) | {0}
+        shared = {model.group_of(e[0]), model.group_of(e[1])} & {model.group_of(f[0]), model.group_of(f[1])}
+        if shared:
+            apex = frozenset(v for v in verts if v != 0 and model.group_of(v) in shared)
+    vs = sorted(verts)
+    es = frozenset(edge(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :])
+    return eo.Span(left_edge=e, right_edge=f, vertices=frozenset(verts), edges=es, apex=apex)
+
+
+def percall_special_wedge(model, e, f, roles):
+    if percall_kind(model, e) != DIAGONAL or percall_kind(model, f) != DIAGONAL:
+        return None
+    if percall_cross(model, e, f) or e == f:
+        return None
+    outmost, inside = roles
+    k = model.k
+    for a in e:
+        for b in f:
+            if a not in outmost or b not in outmost:
+                continue
+            if model.hull_succ(a) == b and model.group_of(a) != model.group_of(b):
+                j = model.group_of(a)
+            elif model.hull_succ(b) == a and model.group_of(a) != model.group_of(b):
+                j = model.group_of(b)
+            else:
+                continue
+            opp = (j + (k + 1) // 2 - 1) % k + 1
+            a2 = e[0] if e[1] == a else e[1]
+            b2 = f[0] if f[1] == b else f[1]
+            if a2 in inside and b2 in inside and model.group_of(a2) == opp and model.group_of(b2) == opp:
+                return percall_span(model, e, f).apex
+    return None
+
+
+def test_span_and_special_wedge_match_percall():
+    """Every ordered pair of non-radial edges: the same special-wedge apex as
+    the per-call implementation and, on the wheels with at most 11 hull
+    vertices, the same span (or refusal)."""
+    pairs = wedges = spans = 0
+    for sizes in [(3, 3, 3), (1, 2, 4), (3, 1, 3, 1, 3), (2, 3, 3, 4, 3), (5, 5, 5), (3, 3, 3, 3, 3), (1, 3, 1, 5, 5)]:
+        model = build_generalized_wheel(list(sizes))
+        roles = percall_roles(model)
+        non_radial = [e for e in model.edges() if e[0] != 0]
+        for e in non_radial:
+            for f in non_radial:
+                apex = eo.is_special_wedge(model, e, f)
+                assert apex == percall_special_wedge(model, e, f, roles), (sizes, e, f)
+                pairs += 1
+                wedges += apex is not None
+                if model.hull_count > 11:
+                    continue
+                try:
+                    want = percall_span(model, e, f)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        eo.span(model, e, f)
+                else:
+                    assert eo.span(model, e, f) == want, (sizes, e, f)
+                    spans += 1
+    assert (pairs, wedges, spans) == (48_862, 102, 3_668)

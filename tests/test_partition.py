@@ -16,14 +16,13 @@ from planewheel.partition import (
     Partition,
     canonical_form,
     isomorphic,
-    model_symmetries,
     structural_audit,
     validate_double_stars,
     validate_plane_partition,
     validate_spanning_trees,
 )
 from planewheel.solver import SolveConfig, solve
-from planewheel.wheelgeom import build_bumpy_wheel, build_generalized_wheel, edge
+from planewheel.wheelgeom import build_bumpy_wheel, build_generalized_wheel, edge, wheel_tables
 
 
 @pytest.fixture(scope="module")
@@ -124,26 +123,26 @@ class TestAudits:
 class TestSymmetries:
     def test_group_sizes(self, bw33):
         # dihedral symmetry of the 3-fold bumpy wheel: 3 rotations x 2
-        assert len(model_symmetries(bw33, SYM_ROTATION)) == 3
-        assert len(model_symmetries(bw33, SYM_FULL)) == 6
-        assert model_symmetries(bw33, SYM_NONE) == [tuple(range(10))]
+        assert len(wheel_tables(bw33).symmetries(SYM_ROTATION)) == 3
+        assert len(wheel_tables(bw33).symmetries(SYM_FULL)) == 6
+        assert wheel_tables(bw33).symmetries(SYM_NONE) == (tuple(range(10)),)
 
     def test_mixed_sizes_fewer_symmetries(self, gw_mixed):
         # sizes (2,3,3,4,3): no nontrivial rotation, no reflection
-        assert len(model_symmetries(gw_mixed, SYM_ROTATION)) == 1
-        assert len(model_symmetries(gw_mixed, SYM_FULL)) == 1
+        assert len(wheel_tables(gw_mixed).symmetries(SYM_ROTATION)) == 1
+        assert len(wheel_tables(gw_mixed).symmetries(SYM_FULL)) == 1
         # palindromic sizes gain exactly one reflection
         palindrome = build_generalized_wheel([1, 2, 3, 2, 1])
-        assert len(model_symmetries(palindrome, SYM_ROTATION)) == 1
-        assert len(model_symmetries(palindrome, SYM_FULL)) == 2
+        assert len(wheel_tables(palindrome).symmetries(SYM_ROTATION)) == 1
+        assert len(wheel_tables(palindrome).symmetries(SYM_FULL)) == 2
 
     def test_permutations_fix_center_and_preserve_groups(self, bw33):
-        for perm in model_symmetries(bw33, SYM_FULL):
+        for perm in wheel_tables(bw33).symmetries(SYM_FULL):
             assert perm[0] == 0
             assert sorted(perm) == list(range(10))
 
     def test_identity_always_present(self, bw33):
-        assert tuple(range(10)) in model_symmetries(bw33, SYM_FULL)
+        assert tuple(range(10)) in wheel_tables(bw33).symmetries(SYM_FULL)
 
 
 class TestIsomorphism:
@@ -155,7 +154,7 @@ class TestIsomorphism:
 
     def test_rotation_is_isomorphic(self, tree_partition):
         p = tree_partition
-        perm = model_symmetries(p.model, SYM_ROTATION)[1]
+        perm = wheel_tables(p.model).symmetries(SYM_ROTATION)[1]
         rotated = Partition(
             model=p.model,
             m=p.m,
@@ -181,7 +180,7 @@ def test_property_canonical_form_invariant(seed):
     rng = random.Random(seed)
     parts = list(enumerate_k3.enumerate_all(3))
     p = rng.choice(parts)
-    perm = rng.choice(model_symmetries(p.model, SYM_FULL))
+    perm = rng.choice(wheel_tables(p.model).symmetries(SYM_FULL))
     cmap = list(range(p.m))
     rng.shuffle(cmap)
     q = Partition(
@@ -225,7 +224,7 @@ def percall_canonical_form(p, symmetry):
 def test_symmetries_and_forms_match_percall_computation(symmetry):
     for sizes in wheel_matrix(9) + [(1, 2, 3, 2, 1), (3,) * 5]:
         model = build_generalized_wheel(list(sizes))
-        assert model_symmetries(model, symmetry) == percall_symmetries(model, symmetry), sizes
+        assert list(wheel_tables(model).symmetries(symmetry)) == percall_symmetries(model, symmetry), sizes
     parts = list(enumerate_k3.enumerate_all(5))
     assert len(parts) == 320
     for p in parts:

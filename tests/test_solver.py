@@ -22,6 +22,12 @@ class TestConfig:
         cfg = SolveConfig(mode=MODE_TREE, enforce_class_size=False)
         assert cfg.enforce_class_size
 
+    @pytest.mark.parametrize("limits", [{"node_limit": -5}, {"time_limit": -1.0}, {"time_limit": float("nan")}])
+    def test_negative_or_nan_limit_rejected(self, limits):
+        # node_limit=-5 used to stop the search with LIMIT after one node
+        with pytest.raises(ValueError):
+            SolveConfig(**limits)
+
 
 class TestMaxCrossingFamily:
     @pytest.mark.parametrize("sizes", [(3, 3, 3), (5, 5, 5), (2, 3, 3, 4, 3)])
@@ -137,6 +143,19 @@ class TestSolve:
         out = solve(bw33, SolveConfig(mode=MODE_TREE), preassigned=[(e, 2)])
         assert out.status == "SAT"
         assert out.witness.color[e] == 2
+
+    @pytest.mark.parametrize(
+        "preassigned",
+        [
+            [((0, 1), -1)],  # was UNSAT at 0 nodes
+            [((0, 1), 0), ((0, 1), 0)],  # was UNSAT at 1 node
+            [((0, 1), 5)],  # was an IndexError: m = 5
+            [((1, 0), 0)],  # was a KeyError: edges are keyed (a, b) with a < b
+        ],
+    )
+    def test_bad_preassignment_rejected(self, bw33, preassigned):
+        with pytest.raises(ValueError):
+            solve(bw33, SolveConfig(mode=MODE_TREE), preassigned=preassigned)
 
     def test_to_json(self, bw33):
         out = solve(bw33, SolveConfig(mode=MODE_TREE))

@@ -17,7 +17,6 @@ from planewheel.wheelgeom import (
     WheelModel,
     build_bumpy_wheel,
     build_generalized_wheel,
-    combinatorial_cross,
     crossing_graph,
     edge,
     wheel_tables,
@@ -100,7 +99,7 @@ def test_far_arc_dist_and_endpoints():
             assert m.far_arc(e) == arc, (label(m), e)
             assert t.far_arc[e] == (s % m.hull_count + 1, len(arc)), (label(m), e)
             assert eo.dist(m, e) == t.dist[e] == len(arc) + 1, (label(m), e)
-            assert eo.arc_endpoints(m, e) == t.arc_endpoints[e] == (s, end), (label(m), e)
+            assert t.arc_endpoints[e] == (s, end), (label(m), e)
 
 
 def test_edge_kinds():
@@ -108,10 +107,10 @@ def test_edge_kinds():
         t = wheel_tables(m)
         for e in m.edges():
             if e[0] == 0:
-                want = eo.RADIAL
+                want = wheelgeom.RADIAL
             else:
-                want = eo.BOUNDARY if not walk_far_arc(m, e) else eo.DIAGONAL
-            assert eo.classify_edge(m, e).kind == t.kind[e] == want, (label(m), e)
+                want = wheelgeom.BOUNDARY if not walk_far_arc(m, e) else wheelgeom.DIAGONAL
+            assert t.kind[e] == want, (label(m), e)
 
 
 def test_distance_children():
@@ -129,24 +128,25 @@ def test_distance_children():
             assert eo.distance_children(m, e) == t.children[e] == want, (label(m), e)
 
 
-def test_opposite_group_pairs():
+def test_opposite_pairs():
     for m in MODELS:
         k, half = m.k, (m.k - 1) // 2
         want = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1) if (j - i) % k in (half, half + 1)]
-        assert eo.opposite_group_pairs(m) == list(wheel_tables(m).opposite_pairs) == want, label(m)
+        assert list(wheel_tables(m).opposite_pairs) == want, label(m)
 
 
 def test_crossings():
     for m in MODELS:
         es = m.edges()
         arcs = {e: set(walk_far_arc(m, e)) for e in non_radial(m)}
+        crossings = wheel_tables(m).crossings
         want = set()
         want_nbrs = [[] for _ in es]
         for i, e in enumerate(es):
             for j in range(i + 1, len(es)):
                 f = es[j]
                 cross = direct_cross(arcs, e, f)
-                assert combinatorial_cross(m, e, f) == cross, (label(m), e, f)
+                assert crossings[i][j] == crossings[j][i] == cross, (label(m), e, f)
                 if cross:
                     want.add((e, f))
                     want_nbrs[i].append(j)

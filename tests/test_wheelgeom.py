@@ -13,7 +13,6 @@ from planewheel.wheelgeom import (
     build_bumpy_wheel,
     build_generalized_wheel,
     canonicalize,
-    combinatorial_cross,
     crossing_graph,
     edge,
     geometric_crossing_pairs,
@@ -83,19 +82,23 @@ class TestFarArc:
 
 class TestCrossing:
     def test_shared_endpoint_never_crosses(self, bw33):
-        assert not combinatorial_cross(bw33, (0, 1), (1, 2))
-        assert not combinatorial_cross(bw33, (1, 5), (1, 8))
+        crosses = crossing_graph(bw33).crosses
+        assert not crosses((0, 1), (1, 2))
+        assert not crosses((1, 5), (1, 8))
 
     def test_radial_radial(self, bw33):
-        assert not combinatorial_cross(bw33, (0, 1), (0, 5))
+        assert not crossing_graph(bw33).crosses((0, 1), (0, 5))
 
     def test_radial_vs_diagonal(self, bw33):
-        assert combinatorial_cross(bw33, (0, 6), (4, 9))
-        assert not combinatorial_cross(bw33, (0, 1), (4, 9))
+        crosses = crossing_graph(bw33).crosses
+        assert crosses((0, 6), (4, 9))
+        assert crosses((4, 9), (0, 6))
+        assert not crosses((0, 1), (4, 9))
 
     def test_interleaving(self, bw33):
-        assert combinatorial_cross(bw33, (1, 6), (4, 9))
-        assert not combinatorial_cross(bw33, (1, 6), (7, 9))
+        crosses = crossing_graph(bw33).crosses
+        assert crosses((1, 6), (4, 9))
+        assert not crosses((1, 6), (7, 9))
 
     def test_hull_hull_pair_count(self, bw33):
         # each 4-subset of convex-position points gives exactly one crossing
