@@ -13,7 +13,7 @@ import shutil
 import subprocess
 from pathlib import Path
 
-from .search_py import MODE_DOUBLE_STAR, STATUS_LIMIT, STATUS_SAT, STATUS_UNSAT
+from .search_py import STATUS_LIMIT, STATUS_SAT, STATUS_UNSAT
 
 KERNEL_C = Path(__file__).with_name("kernel.c")
 STATUS = {0: STATUS_UNSAT, 1: STATUS_SAT, 2: STATUS_LIMIT}
@@ -25,7 +25,7 @@ _LEAF = ctypes.CFUNCTYPE(None, _INTS)
 _ARGTYPES = (
     [_INT] * 3  # num_vertices, m, n_edges
     + [_INTS] * 5  # ea, eb, adj_start, adj_flat, order
-    + [_INT, _INTS, _INT, _INT, _INT, _INTS]  # pre_count, pre_colors, mode, enforce_*, tri_index
+    + [_INT, _INTS, _INT]  # pre_count, pre_colors, mode
     + [ctypes.c_longlong, ctypes.c_double, _INT, _INT, _LEAF]  # limits, symmetry, collect_all, on_leaf
     + [_INTS, ctypes.POINTER(ctypes.c_longlong), _INTS]  # witness, nodes, max_depth
     + [ctypes.POINTER(ctypes.c_uint64), ctypes.POINTER(ctypes.c_double)]  # fingerprint, elapsed
@@ -56,19 +56,14 @@ def load(path):
     fn.argtypes = _ARGTYPES
     fn.restype = ctypes.c_int
 
-    def search(num_vertices, m, ea, eb, adj_start, adj_flat, order, pre_colors, mode, enforce_class_size,
-               enforce_triangle, tri_index, node_limit, time_limit, symmetry_breaking, collect_all):
+    def search(num_vertices, m, ea, eb, adj_start, adj_flat, order, pre_colors, mode, node_limit, time_limit,
+               symmetry_breaking, collect_all):
         n = len(ea)
-        if tri_index is None:  # only the triangle rule and double stars read it
-            tri_ok = not (enforce_triangle or mode == MODE_DOUBLE_STAR)
-        else:
-            tri_ok = len(tri_index) == num_vertices**2 and _within(tri_index, n)
         if not (
             len(eb) == len(order) == n == len(adj_start) - 1
             and _within(ea, num_vertices) and _within(eb, num_vertices) and _within(order, n)
             and _within(adj_start, len(adj_flat) + 1) and _within(adj_flat, n)
             and _within(pre_colors, m)
-            and tri_ok
         ):
             raise ValueError("kernel input sizes or indices out of range")
         solutions = []
@@ -78,8 +73,7 @@ def load(path):
         fingerprint, elapsed = ctypes.c_uint64(), ctypes.c_double()
         code = fn(
             num_vertices, m, n, _ints(ea), _ints(eb), _ints(adj_start), _ints(adj_flat),
-            _ints(order), len(pre_colors), _ints(pre_colors), mode, enforce_class_size, enforce_triangle,
-            None if tri_index is None else _ints(tri_index), node_limit or 0, time_limit or 0.0,
+            _ints(order), len(pre_colors), _ints(pre_colors), mode, node_limit or 0, time_limit or 0.0,
             symmetry_breaking, collect_all, on_leaf, witness, ctypes.byref(nodes), ctypes.byref(max_depth),
             ctypes.byref(fingerprint), ctypes.byref(elapsed),
         )

@@ -31,9 +31,10 @@ enum { PW_UNSAT = 0, PW_SAT = 1, PW_LIMIT = 2, PW_NO_MEMORY = -1 };
 typedef void (*pw_leaf_fn)(const int *colors);
 
 typedef struct {
-    int nv, m, mode, structural, enforce_class_size, enforce_triangle;
-    const int *ea, *eb, *adj_start, *adj_flat, *tri_index;
-    int *colors, *conflicts, *forbidden, *count;
+    int nv, m, mode, structural;
+    const int *ea, *eb, *adj_start, *adj_flat;
+    int *edge_of; /* vertex pair -> edge index, -1 if no edge */
+    int *colors, *conflicts, *forbidden;
     /* per-colour union-find (no path compression, union by size, rollbackable) */
     int *parent, *usize, *deg;
     int *touched; /* colours with degree > 0 at a vertex */
@@ -82,8 +83,6 @@ static int try_assign(Kernel *k, int e, int c, int depth) {
     int ra = -1, rb = -1;
     if (k->conflicts[e * m + c] > 0)
         return 0;
-    if (k->enforce_class_size && k->count[c] >= nv - 1) /* a spanning tree's edge count */
-        return 0;
     if (k->structural) {
         ra = find(k->parent, base, a);
         rb = find(k->parent, base, b);
@@ -107,20 +106,11 @@ static int try_assign(Kernel *k, int e, int c, int depth) {
                 vs[ni++] = b;
             if (ni > 2)
                 return 0;
-            if (ni == 2) {
-                int spine = k->tri_index[vs[0] * nv + vs[1]];
-                if (spine != e && k->colors[spine] >= 0 && k->colors[spine] != c)
+            if (ni == 2) { /* the two internal vertices need their spine edge, in colour c */
+                int spine = k->edge_of[vs[0] * nv + vs[1]];
+                if (spine < 0 || (spine != e && k->colors[spine] >= 0 && k->colors[spine] != c))
                     return 0;
             }
-        }
-    }
-    if (k->enforce_triangle) {
-        for (int w = 0; w < nv; w++) {
-            if (w == a || w == b)
-                continue;
-            int g = k->tri_index[a * nv + w], h = k->tri_index[b * nv + w];
-            if (k->colors[g] == c && k->colors[h] == c)
-                return 0;
         }
     }
     if (mark_conflicts(k, e, c, 1)) {
@@ -129,7 +119,6 @@ static int try_assign(Kernel *k, int e, int c, int depth) {
     }
     /* commit */
     k->colors[e] = c;
-    k->count[c]++;
     k->avail[a]--;
     k->avail[b]--;
     int *t = k->trail + depth * TRAIL;
@@ -197,7 +186,6 @@ static void unassign(Kernel *k, int depth) {
     }
     k->avail[a]++;
     k->avail[b]++;
-    k->count[c]--;
     k->colors[e] = -1;
     mark_conflicts(k, e, c, -1);
 }
@@ -205,11 +193,10 @@ static void unassign(Kernel *k, int depth) {
 /* Searches for a colouring of the n_edges edges (ea[i], eb[i]) with m colours.
    adj_start/adj_flat hold the crossing graph as compressed sparse rows; edges
    are branched on in `order`, and the first pre_count of them get pre_colors.
-   With enforce_class_size, a colour holds at most nv - 1 edges.
-   tri_index (nv * nv, edge index of each vertex pair) may be NULL unless
-   enforce_triangle is set or mode is MODE_DOUBLE_STAR.  node_limit and
-   time_limit are off at 0; the clock is read every 2^16 nodes.  With
-   collect_all, each complete colouring is passed to on_leaf.
+   In MODE_DOUBLE_STAR the spine of two internal vertices is looked up from
+   ea/eb.  node_limit and time_limit are off at 0; the clock is read every
+   2^16 nodes.  With collect_all, each complete colouring is passed to
+   on_leaf.
 
    Returns PW_SAT, PW_UNSAT or PW_LIMIT and fills the out-buffers: witness
    (n_edges ints, written on PW_SAT unless collect_all), nodes, max_depth,
@@ -217,21 +204,19 @@ static void unassign(Kernel *k, int depth) {
    fails. */
 int pw_search(int nv, int m, int n_edges, const int *ea, const int *eb,
               const int *adj_start, const int *adj_flat, const int *order, int pre_count,
-              const int *pre_colors, int mode, int enforce_class_size, int enforce_triangle,
-              const int *tri_index, long long node_limit, double time_limit,
+              const int *pre_colors, int mode, long long node_limit, double time_limit,
               int symmetry_breaking, int collect_all, pw_leaf_fn on_leaf, int *witness,
               long long *nodes_out, int *max_depth_out, uint64_t *fingerprint_out,
               double *elapsed_out) {
     double t0 = now();
     size_t ne = (size_t)n_edges + 1, nm = (size_t)m * (size_t)nv + 1;
-    Kernel k = {.nv = nv, .m = m, .mode = mode,
-                .structural = mode != MODE_SUBGRAPH, .enforce_class_size = enforce_class_size,
-                .enforce_triangle = enforce_triangle, .ea = ea, .eb = eb, .adj_start = adj_start,
-                .adj_flat = adj_flat, .tri_index = tri_index, .max_used = -1};
+    size_t nn = (size_t)nv * (size_t)nv + 1;
+    Kernel k = {.nv = nv, .m = m, .mode = mode, .structural = mode != MODE_SUBGRAPH,
+                .ea = ea, .eb = eb, .adj_start = adj_start, .adj_flat = adj_flat, .max_used = -1};
+    k.edge_of = malloc(nn * sizeof(int));
     k.colors = malloc(ne * sizeof(int));
     k.conflicts = calloc(ne * (size_t)m, sizeof(int));
     k.forbidden = calloc(ne, sizeof(int));
-    k.count = calloc((size_t)m + 1, sizeof(int));
     k.parent = malloc(nm * sizeof(int));
     k.usize = malloc(nm * sizeof(int));
     k.deg = calloc(nm, sizeof(int));
@@ -246,13 +231,16 @@ int pw_search(int nv, int m, int n_edges, const int *ea, const int *eb,
     int depth = 0, max_depth = 0, aborted = 0;
     uint64_t fingerprint = FNV_OFFSET;
 
-    if (!k.colors || !k.conflicts || !k.forbidden || !k.count || !k.parent || !k.usize ||
+    if (!k.edge_of || !k.colors || !k.conflicts || !k.forbidden || !k.parent || !k.usize ||
         !k.deg || !k.touched || !k.avail || !k.u1 || !k.u2 || !k.trail || !choice)
         goto done;
+    for (size_t i = 0; i < nn; i++)
+        k.edge_of[i] = -1;
     for (int i = 0; i < n_edges; i++) {
         k.colors[i] = -1;
         k.avail[ea[i]]++;
         k.avail[eb[i]]++;
+        k.edge_of[ea[i] * nv + eb[i]] = k.edge_of[eb[i] * nv + ea[i]] = i;
     }
     for (int c = 0; c < m; c++) {
         k.u1[c] = k.u2[c] = -1;
@@ -317,10 +305,10 @@ int pw_search(int nv, int m, int n_edges, const int *ea, const int *eb,
         status = PW_SAT;
 
 done:
+    free(k.edge_of);
     free(k.colors);
     free(k.conflicts);
     free(k.forbidden);
-    free(k.count);
     free(k.parent);
     free(k.usize);
     free(k.deg);

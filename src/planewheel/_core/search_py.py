@@ -37,17 +37,20 @@ def search(
     order,
     pre_colors,
     mode,
-    enforce_class_size,
-    enforce_triangle,
-    tri_index,
     node_limit,
     time_limit,
     symmetry_breaking,
     collect_all,
 ):
+    """Colour the edges (ea[i], eb[i]) with m colours so that no two crossing
+    edges share one.  adj_start/adj_flat hold the crossing graph as compressed
+    sparse rows; edges are branched on in `order`, and the first
+    len(pre_colors) of them get pre_colors.  In double-star mode the spine of
+    two internal vertices is looked up from ea/eb.  node_limit and time_limit
+    are off at 0; the clock is read every 2^16 nodes.  With collect_all every
+    complete colouring is returned in "solutions"."""
     n_edges = len(ea)
     t0 = time.monotonic()
-    class_size = num_vertices - 1  # the edge count of a spanning tree
     pre_count = len(pre_colors)  # the first pre_count edges of `order` get pre_colors
 
     colors = [-1] * n_edges
@@ -58,7 +61,6 @@ def search(
     blocked = [0] * m
     others = [[d for d in range(m) if d != c] for c in range(m)]
     free = (1 << n_edges) - 1  # unassigned edges; commit and undo toggle bit e
-    count = [0] * m
     # per-color union-find (no path compression, union by size, rollbackable)
     parent = [v for _ in range(m) for v in range(num_vertices)]
     usize = [1] * (m * num_vertices)
@@ -67,9 +69,11 @@ def search(
     avail = [0] * num_vertices  # unassigned incident edges
     u1 = [-1] * m  # internal vertices per class (double-star mode)
     u2 = [-1] * m
+    edge_of = [-1] * (num_vertices * num_vertices)  # vertex pair -> edge index, -1 if no edge
     for i in range(n_edges):
         avail[ea[i]] += 1
         avail[eb[i]] += 1
+        edge_of[ea[i] * num_vertices + eb[i]] = edge_of[eb[i] * num_vertices + ea[i]] = i
 
     max_used = -1
     nodes = 0
@@ -89,8 +93,6 @@ def search(
         """Colour e with c unless a constraint refuses it.  The caller has
         already checked that no edge coloured c crosses e."""
         nonlocal max_used, nodes, max_depth, fingerprint, free
-        if enforce_class_size and count[c] >= class_size:
-            return False
         a = ea[e]
         b = eb[e]
         base = c * num_vertices
@@ -124,17 +126,10 @@ def search(
                         vs.append(a)
                     if ib:
                         vs.append(b)
-                    spine = tri_index[vs[0] * num_vertices + vs[1]]
-                    if spine != e and colors[spine] >= 0 and colors[spine] != c:
+                    # the two internal vertices need their spine edge, in colour c
+                    spine = edge_of[vs[0] * num_vertices + vs[1]]
+                    if spine < 0 or (spine != e and colors[spine] >= 0 and colors[spine] != c):
                         return False
-        if enforce_triangle:
-            for w in range(num_vertices):
-                if w == a or w == b:
-                    continue
-                g = tri_index[a * num_vertices + w]
-                h = tri_index[b * num_vertices + w]
-                if colors[g] == c and colors[h] == c:
-                    return False
         # wipeout: an unassigned edge newly blocked in c has no colour left
         prev_blocked = blocked[c]
         wiped = cross[e] & ~prev_blocked & free
@@ -148,7 +143,6 @@ def search(
         blocked[c] = prev_blocked | cross[e]
         free ^= bit[e]
         colors[e] = c
-        count[c] += 1
         avail[a] -= 1
         avail[b] -= 1
         union_child = union_winner = -1
@@ -214,7 +208,6 @@ def search(
             parent[base + union_child] = union_child
         avail[a] += 1
         avail[b] += 1
-        count[c] -= 1
         colors[e] = -1
         blocked[c] = prev_blocked
         free ^= bit[e]

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 ok / verdict as expected, 1 verdict mismatch or failed
-verification, 2 usage error or malformed input, 3 search limit reached.
+verification, 2 usage error, malformed input or unwritable output, 3 search
+limit reached.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import colorsys
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import doublestar, enumerate_k3, partition as partition_mod, solver
@@ -52,9 +54,19 @@ def _model_from_args(args) -> WheelModel:
         raise CliError(f"invalid model: {exc}", 2)
 
 
+@contextmanager
+def _writing():
+    """Turn an OSError from writing output into a one-line exit-2 error."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot write {exc.filename}: {exc.strerror or exc}", 2)
+
+
 def _write(path: str | None, text: str):
     if path:
-        Path(path).write_text(text)
+        with _writing():
+            Path(path).write_text(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -139,8 +151,6 @@ def _cmd_solve(args) -> int:
         raise CliError(f"--time-limit must be >= 0, got {args.time_limit}", 2)
     cfg = solver.SolveConfig(
         mode=MODE_FLAGS[args.mode],
-        enforce_class_size=args.enforce_class_size,
-        enforce_triangle=args.enforce_triangle,
         node_limit=node_limit,
         time_limit=args.time_limit,
         symmetry_breaking=not args.no_symmetry_breaking,
@@ -148,7 +158,7 @@ def _cmd_solve(args) -> int:
     outcome = solver.solve(model, cfg)
     _write(args.output, json.dumps(outcome.to_json(), indent=2))
     if outcome.witness is not None and args.partition_out:
-        Path(args.partition_out).write_text(json.dumps(outcome.witness.to_json()))
+        _write(args.partition_out, json.dumps(outcome.witness.to_json()))
     if outcome.status == "LIMIT":
         return 3
     if args.expect and outcome.status.lower() != args.expect:
@@ -172,9 +182,10 @@ def _cmd_enumerate(args) -> int:
         _write(args.output, json.dumps([p.to_json() for p in parts]))
     else:
         outdir = Path(args.output or ".")
-        outdir.mkdir(parents=True, exist_ok=True)
-        for i, p in enumerate(parts):
-            (outdir / f"partition_{i:05d}.svg").write_text(render_svg(p))
+        with _writing():
+            outdir.mkdir(parents=True, exist_ok=True)
+            for i, p in enumerate(parts):
+                (outdir / f"partition_{i:05d}.svg").write_text(render_svg(p))
         print(f"wrote {len(parts)} SVG files to {outdir}")
     return 0
 
@@ -240,10 +251,11 @@ def _cmd_export_lp(args) -> int:
 def _cmd_render(args) -> int:
     p = _load_partition(args.partition)
     out = Path(args.output or "partition.svg")
-    out.write_text(render_svg(p))
-    stem, parent = out.stem, out.parent
-    for c in range(p.m):
-        (parent / f"{stem}_class{c}.svg").write_text(render_svg(p, only_class=c))
+    with _writing():
+        out.write_text(render_svg(p))
+        stem, parent = out.stem, out.parent
+        for c in range(p.m):
+            (parent / f"{stem}_class{c}.svg").write_text(render_svg(p, only_class=c))
     print(f"wrote {out} and {p.m} per-class SVGs")
     return 0
 
@@ -264,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect", choices=["sat", "unsat"])
     p.add_argument("--node-limit", type=int, default=0)
     p.add_argument("--time-limit", type=float, default=0.0)
-    p.add_argument("--enforce-class-size", action="store_true")
-    p.add_argument("--enforce-triangle", action="store_true")
     p.add_argument("--no-symmetry-breaking", action="store_true")
     p.add_argument("--partition-out")
     p.add_argument("-o", "--output")

@@ -15,8 +15,8 @@ from .wheelgeom import (
     EdgeId,
     PointSet,
     WheelModel,
+    _inside_convex,
     _orient_idx,
-    _point_in_triangle,
     edge,
     realize_coordinates,
     segments_cross,
@@ -171,7 +171,7 @@ def stabs(e: EdgeId, f: EdgeId, ps: PointSet) -> Optional[int]:
         raise ValueError("stabbing is defined for disjoint edges")
     if not _splits(ps, e, f) or _splits(ps, f, e):
         return None
-    return e[0] if _point_in_triangle(ps, e[0], e[1], *f) else e[1]
+    return e[0] if _inside_convex(ps, e[0], (e[1], *f)) else e[1]
 
 
 def parallel(e: EdgeId, f: EdgeId, ps: PointSet) -> bool:
@@ -191,11 +191,8 @@ def cross_blocker(e: EdgeId, f: EdgeId, g: EdgeId, ps: PointSet) -> bool:
         return False
     if not segments_cross(f, g, ps):
         return False
-    v0 = ps.interior_index
-    quad = (f[0], g[0], f[1], g[1])  # convex cyclic order since f, g cross
-    signs = {_orient_idx(ps, quad[i], quad[(i + 1) % 4], v0) for i in range(4)}
-    inside = 0 not in signs and len(signs) == 1
-    return not inside
+    # f, g cross, so their endpoints alternate around a convex quadrilateral
+    return not _inside_convex(ps, ps.interior_index, (f[0], g[0], f[1], g[1]))
 
 
 @dataclass(frozen=True)

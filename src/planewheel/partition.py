@@ -107,9 +107,9 @@ def _class_components(num_vertices: int, es: list[EdgeId]) -> tuple[int, set[int
     return len(roots), touched
 
 
-def validate_plane_partition(p: Partition, cg: CrossingGraph | None = None) -> AuditReport:
+def validate_plane_partition(p: Partition) -> AuditReport:
     rep = AuditReport(mode=MODE_SUBGRAPH)
-    cg = cg or crossing_graph(p.model)
+    cg = crossing_graph(p.model)
     for c, es in enumerate(p.classes()):
         plane, bad = _class_plane(cg, es)
         rep.class_flags.append({"plane": plane})
@@ -120,9 +120,9 @@ def validate_plane_partition(p: Partition, cg: CrossingGraph | None = None) -> A
     return rep
 
 
-def validate_spanning_trees(p: Partition, cg: CrossingGraph | None = None) -> AuditReport:
+def validate_spanning_trees(p: Partition) -> AuditReport:
     rep = AuditReport(mode=MODE_TREE)
-    cg = cg or crossing_graph(p.model)
+    cg = crossing_graph(p.model)
     nv = p.model.num_points
     if p.m != p.model.n:
         rep.flag(f"m={p.m} differs from n={p.model.n}")
@@ -149,8 +149,8 @@ def validate_spanning_trees(p: Partition, cg: CrossingGraph | None = None) -> Au
     return rep
 
 
-def validate_double_stars(p: Partition, cg: CrossingGraph | None = None) -> AuditReport:
-    rep = validate_spanning_trees(p, cg)
+def validate_double_stars(p: Partition) -> AuditReport:
+    rep = validate_spanning_trees(p)
     rep.mode = MODE_DOUBLE_STAR
     for c, es in enumerate(p.classes()):
         deg: dict[int, int] = {}
@@ -179,7 +179,7 @@ def _pair_of_edge(t: WheelTables, e: EdgeId) -> tuple[int, int] | None:
     return pair if pair in t.opposite_pairs else None
 
 
-def structural_audit(p: Partition, mode: str, cg: CrossingGraph | None = None) -> AuditReport:
+def structural_audit(p: Partition, mode: str) -> AuditReport:
     """Mechanical checks of the structural lemmas on a partition that already
     passed its mode validator.  Any violation on a validated partition is a
     hard failure upstream."""

@@ -17,8 +17,6 @@ _MODE_IDS = {MODE_SUBGRAPH: 0, MODE_TREE: 1, MODE_DOUBLE_STAR: 2}
 @dataclass
 class SolveConfig:
     mode: str = MODE_TREE
-    enforce_class_size: bool = False
-    enforce_triangle: bool = False
     node_limit: int = 0  # 0 = unlimited
     time_limit: float = 0.0  # seconds, 0 = unlimited
     symmetry_breaking: bool = True
@@ -31,8 +29,6 @@ class SolveConfig:
             raise ValueError(f"node_limit must be >= 0, got {self.node_limit}")
         if not self.time_limit >= 0:
             raise ValueError(f"time_limit must be >= 0, got {self.time_limit}")
-        if self.mode in (MODE_TREE, MODE_DOUBLE_STAR):
-            self.enforce_class_size = True
 
 
 @dataclass
@@ -80,7 +76,6 @@ def solve(
     cg = crossing_graph(model)
     edges = cg.edges
     index = cg.index
-    nv = model.num_points
 
     ea = [e[0] for e in edges]
     eb = [e[1] for e in edges]
@@ -107,15 +102,8 @@ def solve(
     )
     order = pre_idx + rest
 
-    tri_index = None
-    if cfg.enforce_triangle or cfg.mode == MODE_DOUBLE_STAR:
-        tri_index = [0] * (nv * nv)
-        for i, (a, b) in enumerate(edges):
-            tri_index[a * nv + b] = i
-            tri_index[b * nv + a] = i
-
     res = _core.search(
-        nv,
+        model.num_points,
         m,
         ea,
         eb,
@@ -124,9 +112,6 @@ def solve(
         order,
         pre_colors,
         _MODE_IDS[cfg.mode],
-        cfg.enforce_class_size,
-        cfg.enforce_triangle,
-        tri_index,
         cfg.node_limit,
         cfg.time_limit,
         cfg.symmetry_breaking,

@@ -505,26 +505,17 @@ def _realization_ok(model: WheelModel, ps: PointSet) -> bool:
         window = []
         for g in range(start, start + (k + 1) // 2):
             window.extend(model.group_vertices(g))
-        if _center_in_convex_polygon(ps, window):
+        if _inside_convex(ps, 0, window):
             return False
     # combinatorial and geometric crossings must agree on every edge pair
     return _crossings_match(wheel_tables(model), geometric_crossing_pairs(ps), range(len(ps)))
 
 
-def _center_in_convex_polygon(ps: PointSet, hull_ids: list[int]) -> bool:
-    """hull_ids are in convex position and circular order; closed test."""
-    m = len(hull_ids)
-    signs = set()
-    for i in range(m):
-        signs.add(_orient_idx(ps, hull_ids[i], hull_ids[(i + 1) % m], 0))
-    return 0 not in signs and len(signs) == 1
-
-
-def _point_in_triangle(ps: PointSet, i: int, a: int, b: int, c: int) -> bool:
-    s1 = _orient_idx(ps, a, b, i)
-    s2 = _orient_idx(ps, b, c, i)
-    s3 = _orient_idx(ps, c, a, i)
-    return s1 == s2 == s3 and s1 != 0
+def _inside_convex(ps: PointSet, i: int, polygon) -> bool:
+    """Point i lies strictly inside the convex polygon whose vertex indices
+    are given in circular order, either way round."""
+    signs = {_orient_idx(ps, polygon[j - 1], polygon[j], i) for j in range(len(polygon))}
+    return len(signs) == 1 and 0 not in signs
 
 
 def hull_and_interior(ps: PointSet) -> tuple[list[int], list[int]]:
@@ -562,7 +553,7 @@ def _opposite_boundary_edge(ps: PointSet, hull: list[int], v0: int, v: int) -> E
         u, w = hull[i], hull[(i + 1) % m]
         if v in (u, w):
             continue
-        if _point_in_triangle(ps, v0, v, u, w):
+        if _inside_convex(ps, v0, (v, u, w)):
             return edge(u, w)
     raise AssertionError("no opposite boundary edge found; input degenerate?")
 

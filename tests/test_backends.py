@@ -29,7 +29,7 @@ INSTANCES = [
     (build_bumpy_wheel(3, 5), MODE_TREE, {}),
     (build_generalized_wheel([1] * 7), MODE_DOUBLE_STAR, {}),
     (build_generalized_wheel([1, 2, 4]), MODE_TREE, {}),
-    (build_bumpy_wheel(3, 3), MODE_SUBGRAPH, {"enforce_triangle": True}),
+    (build_bumpy_wheel(3, 3), MODE_SUBGRAPH, {"symmetry_breaking": False}),
     (build_bumpy_wheel(3, 3), MODE_DOUBLE_STAR, {"symmetry_breaking": False}),
     (build_bumpy_wheel(3, 5), MODE_TREE, {"node_limit": 1000}),
     (build_bumpy_wheel(3, 7), MODE_TREE, {"time_limit": 1e-6}),
@@ -70,7 +70,19 @@ def test_compiled_interface(compiled_search):
     assert inspect.signature(compiled_search) == inspect.signature(search_py.search)
     # one edge (0, 5) on 2 vertices: the bad index is refused before any pointer reaches C
     with pytest.raises(ValueError):
-        compiled_search(2, 1, [0], [5], [0, 0], [], [0], [], 0, False, False, None, 0, 0.0, True, False)
+        compiled_search(2, 1, [0], [5], [0, 0], [], [0], [], 0, 0, 0.0, True, False)
+
+
+def test_missing_spine_refused(compiled_search):
+    """Two internal vertices of one double-star class with no edge between
+    them have no spine.  Paths 0-1-2 and 3-4-5 in one colour: the last edge
+    makes 4 internal next to 1, and both kernels refuse it."""
+    args = (6, 1, [0, 1, 3, 4], [1, 2, 4, 5], [0] * 5, [], [0, 1, 2, 3], [], search_py.MODE_DOUBLE_STAR,
+            0, 0.0, True, False)
+    ref, out = search_py.search(*args), compiled_search(*args)
+    assert ref["status"] == out["status"] == "UNSAT"
+    assert ref["nodes"] == out["nodes"] == 3
+    assert ref["fingerprint"] == out["fingerprint"]
 
 
 def assert_same(ref, out):

@@ -76,6 +76,21 @@ def test_negative_time_limit_rejected(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("flag", ["--enforce-class-size", "--enforce-triangle"])
+def test_solve_has_no_constraint_knobs(flag):
+    # acyclicity already implies both in tree and double-star mode
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--bw", "3", "3", flag])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["-o", "--partition-out"])
+def test_solve_unwritable_output_rejected(tmp_path, capsys, flag):
+    # a missing directory used to end in a FileNotFoundError traceback and exit 1
+    assert run(["solve", "--bw", "3", "3", flag, str(tmp_path / "missing" / "r.json")]) == 2
+    _one_line_error(capsys, "cannot write")
+
+
 def test_export_lp_rejects_zero_classes(tmp_path, capsys):
     assert run(["export-lp", "--bw", "3", "3", "--m", "0", "-o", str(tmp_path / "m.lp")]) == 2
     _one_line_error(capsys, "--m")
@@ -131,6 +146,13 @@ def test_enumerate_json(tmp_path):
 def test_enumerate_svg(tmp_path, capsys):
     assert run(["enumerate", "--k", "3", "--case", "1", "--emit", "svg", "-o", str(tmp_path)]) == 0
     assert len(list(tmp_path.glob("*.svg"))) == 4
+
+
+def test_enumerate_svg_into_a_regular_file_rejected(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run(["enumerate", "--k", "3", "--case", "1", "--emit", "svg", "-o", str(taken)]) == 2
+    _one_line_error(capsys, "cannot write")
 
 
 def test_verify_roundtrip(tmp_path):
@@ -207,3 +229,12 @@ def test_render(tmp_path, capsys):
     assert svg.exists()
     assert len(list(tmp_path.glob("picture_class*.svg"))) == 5
     assert "<svg" in svg.read_text()
+
+
+def test_render_into_a_missing_directory_rejected(tmp_path, capsys):
+    parts = tmp_path / "parts.json"
+    run(["enumerate", "--k", "3", "--emit", "json", "-o", str(parts)])
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(json.loads(parts.read_text())[0]))
+    assert run(["render", str(one), "-o", str(tmp_path / "missing" / "picture.svg")]) == 2
+    _one_line_error(capsys, "cannot write")

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -6,7 +7,14 @@ from conftest import random_one_interior_set
 from planewheel import doublestar as ds
 from planewheel.partition import validate_double_stars
 from planewheel.solver import SolveConfig, solve
-from planewheel.wheelgeom import build_bumpy_wheel, build_generalized_wheel, realize_coordinates
+from planewheel.wheelgeom import (
+    _orient_idx,
+    build_bumpy_wheel,
+    build_generalized_wheel,
+    edge,
+    realize_coordinates,
+    segments_cross,
+)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +87,28 @@ class TestMatchings:
             chk = ds.is_spine_matching(bw33, ds.potential_matching(bw33, v))
             assert not chk.ok
             assert chk.kind in ("parallel", "cross_blocker")
+
+    def test_cross_blocker_matches_quadrilateral_reference(self):
+        centre_inside = []  # outcomes of the quadrilateral test itself
+
+        def reference(e, f, g, ps):
+            # the quadrilateral test cross_blocker used before it shared _inside_convex
+            if not (ds.stabs(e, f, ps) is not None and ds.stabs(e, g, ps) is not None and segments_cross(f, g, ps)):
+                return False
+            quad = (f[0], g[0], f[1], g[1])
+            signs = {_orient_idx(ps, quad[i], quad[(i + 1) % 4], ps.interior_index) for i in range(4)}
+            centre_inside.append(0 not in signs and len(signs) == 1)
+            return not centre_inside[-1]
+
+        for sizes in [(3, 3, 3), (1,) * 9, (2, 3, 3, 4, 3)]:
+            model = build_generalized_wheel(list(sizes))
+            ps = realize_coordinates(model)
+            for v in range(1, model.hull_count + 1):
+                e = edge(ps.interior_index, v)
+                rest = [f for f in model.edges() if not set(f) & set(e)]
+                for f, g in combinations(rest, 2):
+                    assert ds.cross_blocker(e, f, g, ps) == reference(e, f, g, ps), (sizes, e, f, g)
+        assert set(centre_inside) == {True, False}
 
     def test_complete_double_stars(self, regular9):
         for v in range(1, 10):

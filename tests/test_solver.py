@@ -18,10 +18,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolveConfig(mode="nope")
 
-    def test_tree_forces_class_size(self):
-        cfg = SolveConfig(mode=MODE_TREE, enforce_class_size=False)
-        assert cfg.enforce_class_size
-
     @pytest.mark.parametrize("limits", [{"node_limit": -5}, {"time_limit": -1.0}, {"time_limit": float("nan")}])
     def test_negative_or_nan_limit_rejected(self, limits):
         # node_limit=-5 used to stop the search with LIMIT after one node
