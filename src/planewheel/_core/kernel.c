@@ -57,8 +57,10 @@ static int find(const int *parent, int base, int v) {
 }
 
 /* Adds (add = 1) or removes (add = -1) the conflicts edge e coloured c puts on
-   its crossing neighbours.  Returns 1 if adding leaves an unassigned
-   neighbour with every colour blocked (a wipeout). */
+   its crossing neighbours.  Returns 1 if adding leaves a neighbour with every
+   colour blocked (a wipeout).  That neighbour is unassigned: an edge coloured
+   d never conflicts with d, and one coloured c cannot cross e, or e would
+   conflict with c. */
 static int mark_conflicts(Kernel *k, int e, int c, int add) {
     int wipeout = 0;
     for (int j = k->adj_start[e]; j < k->adj_start[e + 1]; j++) {
@@ -67,7 +69,7 @@ static int mark_conflicts(Kernel *k, int e, int c, int add) {
         k->conflicts[fc] += add;
         if (add > 0 && k->conflicts[fc] == 1) {
             k->forbidden[f]++;
-            if (k->forbidden[f] == k->m && k->colors[f] < 0)
+            if (k->forbidden[f] == k->m)
                 wipeout = 1;
         } else if (add < 0 && k->conflicts[fc] == 0) {
             k->forbidden[f]--;

@@ -54,13 +54,11 @@ def search(
     pre_count = len(pre_colors)  # the first pre_count edges of `order` get pre_colors
 
     colors = [-1] * n_edges
-    bit = [1 << e for e in range(n_edges)]
     # bit f of cross[e]: edge f crosses edge e
-    cross = [sum(bit[f] for f in adj_flat[adj_start[e] : adj_start[e + 1]]) for e in range(n_edges)]
+    cross = [sum(1 << f for f in adj_flat[adj_start[e] : adj_start[e + 1]]) for e in range(n_edges)]
     # bit f of blocked[c]: f crosses some edge coloured c
     blocked = [0] * m
     others = [[d for d in range(m) if d != c] for c in range(m)]
-    free = (1 << n_edges) - 1  # unassigned edges; commit and undo toggle bit e
     # per-color union-find (no path compression, union by size, rollbackable)
     parent = [v for _ in range(m) for v in range(num_vertices)]
     usize = [1] * (m * num_vertices)
@@ -92,7 +90,7 @@ def search(
     def try_assign(e, c, depth):
         """Colour e with c unless a constraint refuses it.  The caller has
         already checked that no edge coloured c crosses e."""
-        nonlocal max_used, nodes, max_depth, fingerprint, free
+        nonlocal max_used, nodes, max_depth, fingerprint
         a = ea[e]
         b = eb[e]
         base = c * num_vertices
@@ -130,9 +128,10 @@ def search(
                     spine = edge_of[vs[0] * num_vertices + vs[1]]
                     if spine < 0 or (spine != e and colors[spine] >= 0 and colors[spine] != c):
                         return False
-        # wipeout: an unassigned edge newly blocked in c has no colour left
+        # wipeout: an edge newly blocked in c has no colour left.  It is unassigned:
+        # an edge coloured d is not in blocked[d], one coloured c cannot cross e
         prev_blocked = blocked[c]
-        wiped = cross[e] & ~prev_blocked & free
+        wiped = cross[e] & ~prev_blocked
         for d in others[c]:
             if not wiped:
                 break
@@ -141,7 +140,6 @@ def search(
             return False
         # commit
         blocked[c] = prev_blocked | cross[e]
-        free ^= bit[e]
         colors[e] = c
         avail[a] -= 1
         avail[b] -= 1
@@ -183,7 +181,7 @@ def search(
         return True
 
     def unassign(depth):
-        nonlocal max_used, free
+        nonlocal max_used
         e, c, union_child, union_winner, int_a, int_b, prev_max, prev_blocked = trail[depth]
         a = ea[e]
         b = eb[e]
@@ -210,7 +208,6 @@ def search(
         avail[b] += 1
         colors[e] = -1
         blocked[c] = prev_blocked
-        free ^= bit[e]
 
     depth = 0
     choice = [-1] * (n_edges + 1)

@@ -44,13 +44,6 @@ class Matching:
                 return p
         raise AssertionError("perfect matching on an even set must match the center")
 
-    def to_json(self) -> dict:
-        return {"pairs": [list(p) for p in self.pairs]}
-
-    @classmethod
-    def from_json(cls, model: WheelModel, obj: dict) -> "Matching":
-        return cls(model=model, pairs=tuple(edge(a, b) for a, b in obj["pairs"]))
-
 
 @dataclass(frozen=True)
 class BadHalfplane:
@@ -58,7 +51,6 @@ class BadHalfplane:
     the center vertex strictly violating the inequality."""
 
     halving_edge: EdgeId
-    vertex_arc: tuple[int, ...]
     line: tuple[Fraction, Fraction, Fraction]
 
 
@@ -85,11 +77,8 @@ def bad_halfplanes(model: WheelModel, ps: Optional[PointSet] = None) -> list[Bad
     if not non_radial:
         return []
     ps = ps or realize_coordinates(model)
-    tables = wheel_tables(model)
     out = []
     for h in non_radial:
-        s, t = tables.arc_endpoints[h]
-        arc = (s, *model.far_arc(h), t)
         p, q = ps.points[h[0]], ps.points[h[1]]
         a = q[1] - p[1]
         b = p[0] - q[0]
@@ -98,7 +87,7 @@ def bad_halfplanes(model: WheelModel, ps: Optional[PointSet] = None) -> list[Bad
         if c >= 0:
             a, b, c = -a, -b, -c
         assert c < 0, "halving edge line passes through the center"
-        out.append(BadHalfplane(halving_edge=h, vertex_arc=arc, line=(a, b, c)))
+        out.append(BadHalfplane(halving_edge=h, line=(a, b, c)))
     return out
 
 

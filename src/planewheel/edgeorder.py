@@ -15,8 +15,6 @@ from .wheelgeom import DIAGONAL, EdgeId, WheelModel, edge, is_bumpy, wheel_table
 
 @dataclass(frozen=True)
 class Span:
-    left_edge: EdgeId
-    right_edge: EdgeId
     vertices: frozenset[int]
     edges: frozenset[EdgeId]
     apex: Optional[frozenset[int]]
@@ -88,7 +86,7 @@ def span(model: WheelModel, e: EdgeId, f: EdgeId) -> Span:
             apex = frozenset(v for v in verts if v != 0 and group_of[v] in shared)
     vs = sorted(verts)
     es = frozenset(edge(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :])
-    return Span(left_edge=e, right_edge=f, vertices=frozenset(verts), edges=es, apex=apex)
+    return Span(vertices=frozenset(verts), edges=es, apex=apex)
 
 
 def is_special_wedge(model: WheelModel, e: EdgeId, f: EdgeId) -> Optional[frozenset[int]]:

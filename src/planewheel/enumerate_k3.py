@@ -40,7 +40,6 @@ class PartialPartition:
     classes: list[set[EdgeId]]
     stage: str
     case: str
-    radial_bits: tuple[int, ...] = ()
     covered: dict[EdgeId, int] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -158,7 +157,7 @@ def _build_base(model: WheelModel, lb: _Labels, case: str, bits: tuple[int, ...]
         classes.append(apex_l[g])
     classes.append(tlast)
 
-    return PartialPartition(model=model, classes=classes, stage=STAGE_BASE, case=case, radial_bits=bits)
+    return PartialPartition(model=model, classes=classes, stage=STAGE_BASE, case=case)
 
 
 def extend_base(pp: PartialPartition) -> PartialPartition:
@@ -190,7 +189,6 @@ def extend_base(pp: PartialPartition) -> PartialPartition:
         classes=classes,
         stage=STAGE_BASE_EXTENDED,
         case=pp.case,
-        radial_bits=pp.radial_bits,
         covered=covered,
     )
 

@@ -10,9 +10,6 @@ from . import edgeorder
 from .wheelgeom import (
     BOUNDARY,
     DIAGONAL,
-    SYM_FULL,
-    SYM_NONE,
-    SYM_ROTATION,
     CrossingGraph,
     EdgeId,
     WheelModel,
@@ -67,7 +64,6 @@ class Partition:
 
 @dataclass
 class AuditReport:
-    mode: str
     class_flags: list[dict] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
 
@@ -108,7 +104,7 @@ def _class_components(num_vertices: int, es: list[EdgeId]) -> tuple[int, set[int
 
 
 def validate_plane_partition(p: Partition) -> AuditReport:
-    rep = AuditReport(mode=MODE_SUBGRAPH)
+    rep = AuditReport()
     cg = crossing_graph(p.model)
     for c, es in enumerate(p.classes()):
         plane, bad = _class_plane(cg, es)
@@ -121,7 +117,7 @@ def validate_plane_partition(p: Partition) -> AuditReport:
 
 
 def validate_spanning_trees(p: Partition) -> AuditReport:
-    rep = AuditReport(mode=MODE_TREE)
+    rep = AuditReport()
     cg = crossing_graph(p.model)
     nv = p.model.num_points
     if p.m != p.model.n:
@@ -151,7 +147,6 @@ def validate_spanning_trees(p: Partition) -> AuditReport:
 
 def validate_double_stars(p: Partition) -> AuditReport:
     rep = validate_spanning_trees(p)
-    rep.mode = MODE_DOUBLE_STAR
     for c, es in enumerate(p.classes()):
         deg: dict[int, int] = {}
         for a, b in es:
@@ -161,8 +156,7 @@ def validate_double_stars(p: Partition) -> AuditReport:
         ok = len(internal) <= 2
         if len(internal) == 2 and edge(*internal) not in es:
             ok = False
-        if c < len(rep.class_flags):
-            rep.class_flags[c]["double_star"] = ok
+        rep.class_flags[c]["double_star"] = ok
         if not ok:
             rep.flag(f"class {c}: internal vertices {internal} do not form a double star")
     return rep
@@ -183,7 +177,7 @@ def structural_audit(p: Partition, mode: str) -> AuditReport:
     """Mechanical checks of the structural lemmas on a partition that already
     passed its mode validator.  Any violation on a validated partition is a
     hard failure upstream."""
-    rep = AuditReport(mode=f"audit:{mode}")
+    rep = AuditReport()
     model = p.model
     t = wheel_tables(model)
     classes = p.classes()
@@ -336,8 +330,8 @@ def _audit_forced_edges(rep, model, t, maxd, nv):
 
 
 # ---------------------------------------------------------------------------
-# isomorphism (SYM_NONE, SYM_ROTATION and SYM_FULL name the symmetry groups;
-# they live with the tables in wheelgeom)
+# isomorphism up to the wheel's rotations and reflections and a renaming of
+# the colours
 
 
 def _renumber(colors: list[int]) -> bytes:
@@ -350,11 +344,11 @@ def _renumber(colors: list[int]) -> bytes:
     return bytes(out)
 
 
-def canonical_form(p: Partition, symmetry: str = SYM_FULL) -> bytes:
+def canonical_form(p: Partition) -> bytes:
     t = wheel_tables(p.model)
     colors = [p.color[e] for e in t.edges]
     best = None
-    for image in t.edge_images(symmetry):
+    for image in t.edge_images:
         cand = _renumber([colors[j] for j in image])
         if best is None or cand < best:
             best = cand
@@ -362,7 +356,7 @@ def canonical_form(p: Partition, symmetry: str = SYM_FULL) -> bytes:
     return best
 
 
-def isomorphic(p1: Partition, p2: Partition, symmetry: str = SYM_FULL) -> bool:
+def isomorphic(p1: Partition, p2: Partition) -> bool:
     if p1.model != p2.model or p1.m != p2.m:
         raise ValueError("partitions must share model and class count")
-    return canonical_form(p1, symmetry) == canonical_form(p2, symmetry)
+    return canonical_form(p1) == canonical_form(p2)

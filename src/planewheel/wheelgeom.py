@@ -16,20 +16,11 @@ from itertools import combinations, compress, count
 Point = tuple[Fraction, Fraction]
 EdgeId = tuple[int, int]
 
-CLOCKWISE = -1
-COUNTERCLOCKWISE = 1
-COLLINEAR = 0
-
 # edge kinds: radial edges meet the center; boundary edges join hull
 # neighbours; diagonals are every other non-radial edge
 RADIAL = "radial"
 BOUNDARY = "boundary"
 DIAGONAL = "diagonal"
-
-# symmetry groups of a wheel acting on its vertices
-SYM_NONE = "none"
-SYM_ROTATION = "rotation"
-SYM_FULL = "rotation_reflection"
 
 
 def edge(a: int, b: int) -> EdgeId:
@@ -88,10 +79,6 @@ class WheelModel:
         g = (g - 1) % self.k + 1
         s = self.group_start[g - 1]
         return range(s, s + self.sizes[g - 1])
-
-    def hull_succ(self, v: int) -> int:
-        """Clockwise successor on the hull."""
-        return v % self.hull_count + 1
 
     def edges(self) -> list[EdgeId]:
         """All edges of the complete graph, in lexicographic order."""
@@ -191,8 +178,8 @@ class PointSet:
 
 
 def orientation(p: Point, q: Point, r: Point) -> int:
-    """Exact sign of the turn p->q->r: COUNTERCLOCKWISE (+1), CLOCKWISE (-1),
-    or COLLINEAR (0)."""
+    """Exact sign of the turn p->q->r: +1 counterclockwise, -1 clockwise, 0
+    collinear."""
     d = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
     return (d > 0) - (d < 0)
 
@@ -268,7 +255,6 @@ class WheelTables:
         self.opposite_pairs: tuple[tuple[int, int], ...] = tuple(
             (i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1) if (j - i) % k in (half, half + 1)
         )
-        self._edge_images: dict[str, tuple[tuple[int, ...], ...]] = {}
 
     def key(self, e: EdgeId, radial_msg: str) -> EdgeId:
         """The key of a non-radial edge given in either orientation; raises
@@ -318,38 +304,32 @@ class WheelTables:
             start.append(len(flat))
         return tuple(start), tuple(flat)
 
-    def symmetries(self, symmetry: str = SYM_FULL) -> tuple[tuple[int, ...], ...]:
+    @cached_property
+    def symmetries(self) -> tuple[tuple[int, ...], ...]:
         """Vertex permutations (image tuples over 0..2n-1) induced by the
-        circular symmetries of the group-size sequence: none, rotations, or
-        rotations and reflections (any other value).  The center is fixed."""
+        rotations, then the reflections, of the circular group-size sequence
+        that map groups onto groups.  The center is fixed."""
         h = self.hull_count
-        if symmetry == SYM_NONE:
-            return (tuple(range(h + 1)),)
         groups: dict[int, set[int]] = {}
         for v in range(1, h + 1):
             groups.setdefault(self.group_of[v], set()).add(v - 1)
         group_sets = [frozenset(s) for s in groups.values()]
         gs = set(group_sets)
-        signs = (1,) if symmetry == SYM_ROTATION else (1, -1)
         perms = []
-        for sign in signs:
+        for sign in (1, -1):
             for t in range(h):
                 images = [(sign * p + t) % h for p in range(h)]
                 if all(frozenset(images[p] for p in s) in gs for s in group_sets):
                     perms.append((0,) + tuple(images[v - 1] + 1 for v in range(1, h + 1)))
         return tuple(perms)
 
-    def edge_images(self, symmetry: str = SYM_FULL) -> tuple[tuple[int, ...], ...]:
-        """For each permutation of `symmetries(symmetry)`, in that order, the
-        index of the image of every edge: images[s][i] is the index of
+    @cached_property
+    def edge_images(self) -> tuple[tuple[int, ...], ...]:
+        """For each permutation of `symmetries`, in that order, the index of
+        the image of every edge: edge_images[s][i] is the index of
         edge(perm[a], perm[b]) for the i-th edge (a, b)."""
-        images = self._edge_images.get(symmetry)
-        if images is None:
-            index = self.index
-            images = self._edge_images[symmetry] = tuple(
-                tuple(index[edge(perm[a], perm[b])] for a, b in self.edges) for perm in self.symmetries(symmetry)
-            )
-        return images
+        index = self.index
+        return tuple(tuple(index[edge(perm[a], perm[b])] for a, b in self.edges) for perm in self.symmetries)
 
 
 # The tables of the most recently used models: one model's tables are read

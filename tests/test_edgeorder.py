@@ -204,7 +204,7 @@ def percall_span(model, e, f):
             apex = frozenset(v for v in verts if v != 0 and model.group_of(v) in shared)
     vs = sorted(verts)
     es = frozenset(edge(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :])
-    return eo.Span(left_edge=e, right_edge=f, vertices=frozenset(verts), edges=es, apex=apex)
+    return eo.Span(vertices=frozenset(verts), edges=es, apex=apex)
 
 
 def percall_special_wedge(model, e, f, roles):
@@ -213,14 +213,14 @@ def percall_special_wedge(model, e, f, roles):
     if percall_cross(model, e, f) or e == f:
         return None
     outmost, inside = roles
-    k = model.k
+    k, h = model.k, model.hull_count
     for a in e:
         for b in f:
             if a not in outmost or b not in outmost:
                 continue
-            if model.hull_succ(a) == b and model.group_of(a) != model.group_of(b):
+            if a % h + 1 == b and model.group_of(a) != model.group_of(b):
                 j = model.group_of(a)
-            elif model.hull_succ(b) == a and model.group_of(a) != model.group_of(b):
+            elif b % h + 1 == a and model.group_of(a) != model.group_of(b):
                 j = model.group_of(b)
             else:
                 continue

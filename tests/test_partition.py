@@ -10,9 +10,6 @@ from planewheel.partition import (
     MODE_DOUBLE_STAR,
     MODE_SUBGRAPH,
     MODE_TREE,
-    SYM_FULL,
-    SYM_NONE,
-    SYM_ROTATION,
     Partition,
     canonical_form,
     isomorphic,
@@ -123,26 +120,22 @@ class TestAudits:
 class TestSymmetries:
     def test_group_sizes(self, bw33):
         # dihedral symmetry of the 3-fold bumpy wheel: 3 rotations x 2
-        assert len(wheel_tables(bw33).symmetries(SYM_ROTATION)) == 3
-        assert len(wheel_tables(bw33).symmetries(SYM_FULL)) == 6
-        assert wheel_tables(bw33).symmetries(SYM_NONE) == (tuple(range(10)),)
+        assert len(wheel_tables(bw33).symmetries) == 6
 
     def test_mixed_sizes_fewer_symmetries(self, gw_mixed):
         # sizes (2,3,3,4,3): no nontrivial rotation, no reflection
-        assert len(wheel_tables(gw_mixed).symmetries(SYM_ROTATION)) == 1
-        assert len(wheel_tables(gw_mixed).symmetries(SYM_FULL)) == 1
+        assert len(wheel_tables(gw_mixed).symmetries) == 1
         # palindromic sizes gain exactly one reflection
         palindrome = build_generalized_wheel([1, 2, 3, 2, 1])
-        assert len(wheel_tables(palindrome).symmetries(SYM_ROTATION)) == 1
-        assert len(wheel_tables(palindrome).symmetries(SYM_FULL)) == 2
+        assert len(wheel_tables(palindrome).symmetries) == 2
 
     def test_permutations_fix_center_and_preserve_groups(self, bw33):
-        for perm in wheel_tables(bw33).symmetries(SYM_FULL):
+        for perm in wheel_tables(bw33).symmetries:
             assert perm[0] == 0
             assert sorted(perm) == list(range(10))
 
     def test_identity_always_present(self, bw33):
-        assert tuple(range(10)) in wheel_tables(bw33).symmetries(SYM_FULL)
+        assert tuple(range(10)) in wheel_tables(bw33).symmetries
 
 
 class TestIsomorphism:
@@ -154,14 +147,19 @@ class TestIsomorphism:
 
     def test_rotation_is_isomorphic(self, tree_partition):
         p = tree_partition
-        perm = wheel_tables(p.model).symmetries(SYM_ROTATION)[1]
+        perm = wheel_tables(p.model).symmetries[1]  # rotations come first
         rotated = Partition(
             model=p.model,
             m=p.m,
             color={e: p.color[edge(perm[e[0]], perm[e[1]])] for e in p.model.edges()},
         )
         assert isomorphic(p, rotated)
-        assert canonical_form(p, SYM_NONE) != canonical_form(rotated, SYM_NONE) or p.color == rotated.color
+
+        def renumbered(q):
+            remap = {}
+            return [remap.setdefault(q.color[e], len(remap)) for e in q.model.edges()]
+
+        assert renumbered(p) != renumbered(rotated) or p.color == rotated.color
 
     def test_enumerator_output_pairwise_distinct(self):
         forms = [canonical_form(p) for p in enumerate_k3.enumerate_all(3)]
@@ -180,7 +178,7 @@ def test_property_canonical_form_invariant(seed):
     rng = random.Random(seed)
     parts = list(enumerate_k3.enumerate_all(3))
     p = rng.choice(parts)
-    perm = rng.choice(wheel_tables(p.model).symmetries(SYM_FULL))
+    perm = rng.choice(wheel_tables(p.model).symmetries)
     cmap = list(range(p.m))
     rng.shuffle(cmap)
     q = Partition(
@@ -192,16 +190,13 @@ def test_property_canonical_form_invariant(seed):
 
 
 # The per-call symmetry computation and canonical form the per-model edge
-# images replaced, as they were.
-def percall_symmetries(model, symmetry):
+# images replaced, as they were, for the rotations and reflections.
+def percall_symmetries(model):
     h = model.hull_count
     group_sets = [frozenset(v - 1 for v in model.group_vertices(g)) for g in range(1, model.k + 1)]
     gs = set(group_sets)
-    signs = (1,) if symmetry == SYM_ROTATION else (1, -1)
-    if symmetry == SYM_NONE:
-        return [tuple(range(h + 1))]
     perms = []
-    for sign in signs:
+    for sign in (1, -1):
         for t in range(h):
             images = [(sign * p + t) % h for p in range(h)]
             if all(frozenset(images[p] for p in s) in gs for s in group_sets):
@@ -209,9 +204,9 @@ def percall_symmetries(model, symmetry):
     return perms
 
 
-def percall_canonical_form(p, symmetry):
+def percall_canonical_form(p):
     best = None
-    for perm in percall_symmetries(p.model, symmetry):
+    for perm in percall_symmetries(p.model):
         colors = [p.color[edge(perm[a], perm[b])] for a, b in p.model.edges()]
         remap = {}
         cand = bytes(remap.setdefault(c, len(remap)) for c in colors)
@@ -220,12 +215,11 @@ def percall_canonical_form(p, symmetry):
     return best
 
 
-@pytest.mark.parametrize("symmetry", [SYM_NONE, SYM_ROTATION, SYM_FULL])
-def test_symmetries_and_forms_match_percall_computation(symmetry):
+def test_symmetries_and_forms_match_percall_computation():
     for sizes in wheel_matrix(9) + [(1, 2, 3, 2, 1), (3,) * 5]:
         model = build_generalized_wheel(list(sizes))
-        assert list(wheel_tables(model).symmetries(symmetry)) == percall_symmetries(model, symmetry), sizes
+        assert list(wheel_tables(model).symmetries) == percall_symmetries(model), sizes
     parts = list(enumerate_k3.enumerate_all(5))
     assert len(parts) == 320
     for p in parts:
-        assert canonical_form(p, symmetry) == percall_canonical_form(p, symmetry)
+        assert canonical_form(p) == percall_canonical_form(p)

@@ -1,9 +1,12 @@
 import pytest
 
+from conftest import wheel_matrix
+from planewheel import enumerate_k3
 from planewheel.partition import (
     MODE_DOUBLE_STAR,
     MODE_SUBGRAPH,
     MODE_TREE,
+    canonical_form,
     structural_audit,
     validate_double_stars,
     validate_plane_partition,
@@ -134,6 +137,17 @@ class TestSolve:
         for p in out.solutions:
             assert validate_spanning_trees(p).ok
 
+    def test_all_solutions_bw53_equals_enumerator(self):
+        # every colouring the tree search finds on BW_{5,3}, up to rotation,
+        # reflection and renaming of colours, is one the enumerator builds
+        # and vice versa; each form comes 2k = 10 times (the search breaks
+        # colour symmetry only)
+        out = solve(build_bumpy_wheel(5, 3), SolveConfig(mode=MODE_TREE), all_solutions=True)
+        assert (out.status, out.stats["nodes"], len(out.solutions)) == ("SAT", 240773, 3200)
+        forms = {canonical_form(p) for p in enumerate_k3.enumerate_all(5)}
+        assert len(forms) == 320
+        assert {canonical_form(p) for p in out.solutions} == forms
+
     def test_preassignment_respected(self, bw33):
         e = (1, 6)
         out = solve(bw33, SolveConfig(mode=MODE_TREE), preassigned=[(e, 2)])
@@ -209,6 +223,22 @@ class TestDecideTheorem:
         v = decide_theorem(build_generalized_wheel([2, 3, 3, 4, 5]))
         assert v["tree"] == "unknown"
         assert v["subgraph"] == "unknown"
+
+    @pytest.mark.slow
+    def test_double_star_verdict_matches_search_at_hull_13_and_15(self):
+        # the verdict is exact; check it on every wheel with 14 or 16 points,
+        # up to rotation and reflection of the group sizes
+        wheels = {13: set(), 15: set()}
+        for sizes in wheel_matrix(15):
+            if sum(sizes) in wheels:
+                turns = [sizes[i:] + sizes[:i] for i in range(len(sizes))]
+                wheels[sum(sizes)].add(min(turns + [t[::-1] for t in turns]))
+        assert (len(wheels[13]), len(wheels[15])) == (189, 611)
+        for sizes in sorted(wheels[13] | wheels[15]):
+            m = build_generalized_wheel(list(sizes))
+            status = solve(m, SolveConfig(mode=MODE_DOUBLE_STAR)).status
+            assert status in ("SAT", "UNSAT"), sizes
+            assert (decide_theorem(m)["double_star"] == "no") == (status == "UNSAT"), sizes
 
     def test_verdicts_match_solver_on_small_bumpy(self):
         for k, ell in [(3, 1), (3, 3), (5, 1)]:

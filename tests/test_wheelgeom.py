@@ -37,7 +37,6 @@ class TestModel:
         assert list(bw33.group_vertices(1)) == [1, 2, 3]
         assert list(bw33.group_vertices(3)) == [7, 8, 9]
         assert bw33.group_of(1) == 1 and bw33.group_of(9) == 3
-        assert bw33.hull_succ(9) == 1
 
     def test_edge_count(self, bw33):
         assert len(bw33.edges()) == 45
