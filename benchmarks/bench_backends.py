@@ -25,6 +25,7 @@ INSTANCES = [
     ("BW_{3,5} subgraph", build_bumpy_wheel(3, 5), MODE_SUBGRAPH),
     ("BW_{3,5} tree", build_bumpy_wheel(3, 5), MODE_TREE),
     ("GW_{[2,3,3,4,3]} tree", build_generalized_wheel([2, 3, 3, 4, 3]), MODE_TREE),
+    ("GW_{[2,3,3,4,5]} tree", build_generalized_wheel([2, 3, 3, 4, 5]), MODE_TREE),
 ]
 
 

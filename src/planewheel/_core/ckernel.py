@@ -20,11 +20,13 @@ STATUS = {0: STATUS_UNSAT, 1: STATUS_SAT, 2: STATUS_LIMIT}
 NO_MEMORY = -1
 CFLAGS = ("-O2", "-Wall", "-Wextra", "-Werror")
 
-_INT, _INTS = ctypes.c_int, ctypes.POINTER(ctypes.c_int)
+WORD = (1 << 64) - 1
+
+_INT, _INTS, _WORDS = ctypes.c_int, ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_uint64)
 _LEAF = ctypes.CFUNCTYPE(None, _INTS)
 _ARGTYPES = (
     [_INT] * 3  # num_vertices, m, n_edges
-    + [_INTS] * 5  # ea, eb, adj_start, adj_flat, order
+    + [_INTS, _INTS, _WORDS, _INTS]  # ea, eb, cross, order
     + [_INT, _INTS, _INT]  # pre_count, pre_colors, mode
     + [ctypes.c_longlong, ctypes.c_double, _INT, _INT, _LEAF]  # limits, symmetry, collect_all, on_leaf
     + [_INTS, ctypes.POINTER(ctypes.c_longlong), _INTS]  # witness, nodes, max_depth
@@ -56,23 +58,25 @@ def load(path):
     fn.argtypes = _ARGTYPES
     fn.restype = ctypes.c_int
 
-    def search(num_vertices, m, ea, eb, adj_start, adj_flat, order, pre_colors, mode, node_limit, time_limit,
+    def search(num_vertices, m, ea, eb, cross, order, pre_colors, mode, node_limit, time_limit,
                symmetry_breaking, collect_all):
         n = len(ea)
         if not (
-            len(eb) == len(order) == n == len(adj_start) - 1
+            len(eb) == len(order) == len(cross) == n
             and _within(ea, num_vertices) and _within(eb, num_vertices) and _within(order, n)
-            and _within(adj_start, len(adj_flat) + 1) and _within(adj_flat, n)
+            and all(row >= 0 and not row >> n for row in cross)
             and _within(pre_colors, m)
         ):
             raise ValueError("kernel input sizes or indices out of range")
+        words = (n + 63) // 64  # each row as 64-bit words, lowest bits first
+        cross_words = (ctypes.c_uint64 * (n * words))(*[row >> 64 * i & WORD for row in cross for i in range(words)])
         solutions = []
         on_leaf = _LEAF(lambda colors: solutions.append(colors[:n]))
         witness = (ctypes.c_int * n)()
         nodes, max_depth = ctypes.c_longlong(), ctypes.c_int()
         fingerprint, elapsed = ctypes.c_uint64(), ctypes.c_double()
         code = fn(
-            num_vertices, m, n, _ints(ea), _ints(eb), _ints(adj_start), _ints(adj_flat),
+            num_vertices, m, n, _ints(ea), _ints(eb), cross_words,
             _ints(order), len(pre_colors), _ints(pre_colors), mode, node_limit or 0, time_limit or 0.0,
             symmetry_breaking, collect_all, on_leaf, witness, ctypes.byref(nodes), ctypes.byref(max_depth),
             ctypes.byref(fingerprint), ctypes.byref(elapsed),

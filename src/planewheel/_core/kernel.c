@@ -2,13 +2,11 @@
 
    Both kernels search the identical tree: for the same input they report the
    same status, node count, max depth, search fingerprint, witness and list of
-   solutions.  They need not agree line by line -- this kernel keeps crossing
-   conflicts as counts (conflicts[f * m + c] edges coloured c cross edge f,
-   forbidden[f] colours are blocked at f), search_py as per-colour bitsets --
-   but any change to the branching order or to a pruning condition must be
-   made in both.
+   solutions.  Both keep crossing conflicts as per-colour bitsets, this kernel
+   over 64-bit words and search_py over Python ints, so any change to the
+   branching order or to a pruning condition is made in both.
 
-   No Python C-API: the inputs are flat int arrays, the results go to
+   No Python C-API: the inputs are flat arrays, the results go to
    out-buffers the caller owns, and each all-solutions leaf is passed to a
    callback.  ckernel.py builds this file and loads it with ctypes.
 
@@ -18,6 +16,7 @@
 
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 #include <time.h>
 
 enum { MODE_SUBGRAPH = 0, MODE_TREE = 1, MODE_DOUBLE_STAR = 2 };
@@ -32,9 +31,13 @@ typedef void (*pw_leaf_fn)(const int *colors);
 
 typedef struct {
     int nv, m, mode, structural;
-    const int *ea, *eb, *adj_start, *adj_flat;
-    int *edge_of; /* vertex pair -> edge index, -1 if no edge */
-    int *colors, *conflicts, *forbidden;
+    int words; /* 64-bit words per bitset row */
+    const int *ea, *eb;
+    const uint64_t *cross; /* bit f of row e: edge f crosses edge e */
+    int *edge_of;          /* vertex pair -> edge index, -1 if no edge */
+    int *colors;
+    uint64_t *blocked; /* bit f of row c: f crosses some edge coloured c */
+    uint64_t *saved;   /* per depth, blocked[c] before the commit coloured c */
     /* per-colour union-find (no path compression, union by size, rollbackable) */
     int *parent, *usize, *deg;
     int *touched; /* colours with degree > 0 at a vertex */
@@ -56,34 +59,13 @@ static int find(const int *parent, int base, int v) {
     return v;
 }
 
-/* Adds (add = 1) or removes (add = -1) the conflicts edge e coloured c puts on
-   its crossing neighbours.  Returns 1 if adding leaves a neighbour with every
-   colour blocked (a wipeout).  That neighbour is unassigned: an edge coloured
-   d never conflicts with d, and one coloured c cannot cross e, or e would
-   conflict with c. */
-static int mark_conflicts(Kernel *k, int e, int c, int add) {
-    int wipeout = 0;
-    for (int j = k->adj_start[e]; j < k->adj_start[e + 1]; j++) {
-        int f = k->adj_flat[j];
-        int fc = f * k->m + c;
-        k->conflicts[fc] += add;
-        if (add > 0 && k->conflicts[fc] == 1) {
-            k->forbidden[f]++;
-            if (k->forbidden[f] == k->m)
-                wipeout = 1;
-        } else if (add < 0 && k->conflicts[fc] == 0) {
-            k->forbidden[f]--;
-        }
-    }
-    return wipeout;
-}
-
 /* Colours e with c at the given depth unless a constraint refuses it. */
 static int try_assign(Kernel *k, int e, int c, int depth) {
     int nv = k->nv, m = k->m;
     int a = k->ea[e], b = k->eb[e], base = c * nv;
-    int ra = -1, rb = -1;
-    if (k->conflicts[e * m + c] > 0)
+    int ra = -1, rb = -1, w = k->words;
+    uint64_t *blocked = k->blocked + (size_t)c * w;
+    if (blocked[e / 64] >> (e % 64) & 1) /* an edge coloured c crosses e */
         return 0;
     if (k->structural) {
         ra = find(k->parent, base, a);
@@ -115,11 +97,23 @@ static int try_assign(Kernel *k, int e, int c, int depth) {
             }
         }
     }
-    if (mark_conflicts(k, e, c, 1)) {
-        mark_conflicts(k, e, c, -1);
-        return 0;
+    /* wipeout: an edge newly blocked in c has no colour left.  It is unassigned:
+       an edge coloured d is not in blocked[d], one coloured c cannot cross e */
+    const uint64_t *row = k->cross + (size_t)e * w;
+    for (int i = 0; i < w; i++) {
+        uint64_t wiped = row[i] & ~blocked[i];
+        for (int d = 0; d < m && wiped; d++)
+            if (d != c)
+                wiped &= k->blocked[(size_t)d * w + i];
+        if (wiped)
+            return 0;
     }
     /* commit */
+    uint64_t *saved = k->saved + (size_t)depth * w;
+    for (int i = 0; i < w; i++) {
+        saved[i] = blocked[i];
+        blocked[i] |= row[i];
+    }
     k->colors[e] = c;
     k->avail[a]--;
     k->avail[b]--;
@@ -189,12 +183,14 @@ static void unassign(Kernel *k, int depth) {
     k->avail[a]++;
     k->avail[b]++;
     k->colors[e] = -1;
-    mark_conflicts(k, e, c, -1);
+    int w = k->words;
+    memcpy(k->blocked + (size_t)c * w, k->saved + (size_t)depth * w, (size_t)w * sizeof(uint64_t));
 }
 
 /* Searches for a colouring of the n_edges edges (ea[i], eb[i]) with m colours.
-   adj_start/adj_flat hold the crossing graph as compressed sparse rows; edges
-   are branched on in `order`, and the first pre_count of them get pre_colors.
+   cross holds the crossing graph as one bitset row per edge of
+   (n_edges + 63) / 64 words, lowest bits in the first word; edges are
+   branched on in `order`, and the first pre_count of them get pre_colors.
    In MODE_DOUBLE_STAR the spine of two internal vertices is looked up from
    ea/eb.  node_limit and time_limit are off at 0; the clock is read every
    2^16 nodes.  With collect_all, each complete colouring is passed to
@@ -205,20 +201,20 @@ static void unassign(Kernel *k, int depth) {
    fingerprint and elapsed seconds.  Returns PW_NO_MEMORY if an allocation
    fails. */
 int pw_search(int nv, int m, int n_edges, const int *ea, const int *eb,
-              const int *adj_start, const int *adj_flat, const int *order, int pre_count,
+              const uint64_t *cross, const int *order, int pre_count,
               const int *pre_colors, int mode, long long node_limit, double time_limit,
               int symmetry_breaking, int collect_all, pw_leaf_fn on_leaf, int *witness,
               long long *nodes_out, int *max_depth_out, uint64_t *fingerprint_out,
               double *elapsed_out) {
     double t0 = now();
     size_t ne = (size_t)n_edges + 1, nm = (size_t)m * (size_t)nv + 1;
-    size_t nn = (size_t)nv * (size_t)nv + 1;
+    size_t nn = (size_t)nv * (size_t)nv + 1, words = ((size_t)n_edges + 63) / 64;
     Kernel k = {.nv = nv, .m = m, .mode = mode, .structural = mode != MODE_SUBGRAPH,
-                .ea = ea, .eb = eb, .adj_start = adj_start, .adj_flat = adj_flat, .max_used = -1};
+                .words = (int)words, .ea = ea, .eb = eb, .cross = cross, .max_used = -1};
     k.edge_of = malloc(nn * sizeof(int));
     k.colors = malloc(ne * sizeof(int));
-    k.conflicts = calloc(ne * (size_t)m, sizeof(int));
-    k.forbidden = calloc(ne, sizeof(int));
+    k.blocked = calloc((size_t)m * words + 1, sizeof(uint64_t));
+    k.saved = malloc((ne * words + 1) * sizeof(uint64_t));
     k.parent = malloc(nm * sizeof(int));
     k.usize = malloc(nm * sizeof(int));
     k.deg = calloc(nm, sizeof(int));
@@ -233,7 +229,7 @@ int pw_search(int nv, int m, int n_edges, const int *ea, const int *eb,
     int depth = 0, max_depth = 0, aborted = 0;
     uint64_t fingerprint = FNV_OFFSET;
 
-    if (!k.edge_of || !k.colors || !k.conflicts || !k.forbidden || !k.parent || !k.usize ||
+    if (!k.edge_of || !k.colors || !k.blocked || !k.saved || !k.parent || !k.usize ||
         !k.deg || !k.touched || !k.avail || !k.u1 || !k.u2 || !k.trail || !choice)
         goto done;
     for (size_t i = 0; i < nn; i++)
@@ -309,8 +305,8 @@ int pw_search(int nv, int m, int n_edges, const int *ea, const int *eb,
 done:
     free(k.edge_of);
     free(k.colors);
-    free(k.conflicts);
-    free(k.forbidden);
+    free(k.blocked);
+    free(k.saved);
     free(k.parent);
     free(k.usize);
     free(k.deg);

@@ -2,10 +2,10 @@
 
 Its compiled twin, `kernel.c` (built and loaded by `ckernel`), searches the
 identical tree: both must produce the same status, node count, max depth,
-search fingerprint, witness and list of solutions for the same input.  They
-need not agree line by line -- this kernel keeps crossing conflicts as
-per-colour bitsets over Python ints, `kernel.c` as per-edge counts -- but any
-change to the branching order or to a pruning condition must be made in both.
+search fingerprint, witness and list of solutions for the same input.  Both
+keep crossing conflicts as per-colour bitsets, this kernel over Python ints and
+`kernel.c` over 64-bit words, so any change to the branching order or to a
+pruning condition is made in both.
 
 Modes: 0 = plane subgraph coloring, 1 = spanning trees, 2 = double stars.
 """
@@ -32,8 +32,7 @@ def search(
     m,
     ea,
     eb,
-    adj_start,
-    adj_flat,
+    cross,
     order,
     pre_colors,
     mode,
@@ -43,19 +42,18 @@ def search(
     collect_all,
 ):
     """Colour the edges (ea[i], eb[i]) with m colours so that no two crossing
-    edges share one.  adj_start/adj_flat hold the crossing graph as compressed
-    sparse rows; edges are branched on in `order`, and the first
-    len(pre_colors) of them get pre_colors.  In double-star mode the spine of
-    two internal vertices is looked up from ea/eb.  node_limit and time_limit
-    are off at 0; the clock is read every 2^16 nodes.  With collect_all every
-    complete colouring is returned in "solutions"."""
+    edges share one.  cross holds the crossing graph as one bitset per edge
+    (bit f of cross[e]: edge f crosses edge e); edges are branched on in
+    `order`, and the first len(pre_colors) of them get pre_colors.  In
+    double-star mode the spine of two internal vertices is looked up from
+    ea/eb.  node_limit and time_limit are off at 0; the clock is read every
+    2^16 nodes.  With collect_all every complete colouring is returned in
+    "solutions"."""
     n_edges = len(ea)
     t0 = time.monotonic()
     pre_count = len(pre_colors)  # the first pre_count edges of `order` get pre_colors
 
     colors = [-1] * n_edges
-    # bit f of cross[e]: edge f crosses edge e
-    cross = [sum(1 << f for f in adj_flat[adj_start[e] : adj_start[e + 1]]) for e in range(n_edges)]
     # bit f of blocked[c]: f crosses some edge coloured c
     blocked = [0] * m
     others = [[d for d in range(m) if d != c] for c in range(m)]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import colorsys
 import json
-import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -130,28 +129,15 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _node_limit(args) -> int:
-    env = os.environ.get("PLANEWHEEL_NODE_LIMIT")
-    if env is None:
-        limit = args.node_limit
-    else:
-        try:
-            limit = int(env)
-        except ValueError:
-            raise CliError(f"PLANEWHEEL_NODE_LIMIT must be an integer, got {env!r}", 2)
-    if limit < 0:
-        raise CliError(f"node limit must be >= 0, got {limit}", 2)
-    return limit
-
-
 def _cmd_solve(args) -> int:
     model = _model_from_args(args)
-    node_limit = _node_limit(args)
+    if args.node_limit < 0:
+        raise CliError(f"node limit must be >= 0, got {args.node_limit}", 2)
     if not args.time_limit >= 0:
         raise CliError(f"--time-limit must be >= 0, got {args.time_limit}", 2)
     cfg = solver.SolveConfig(
         mode=MODE_FLAGS[args.mode],
-        node_limit=node_limit,
+        node_limit=args.node_limit,
         time_limit=args.time_limit,
         symmetry_breaking=not args.no_symmetry_breaking,
     )

@@ -67,7 +67,7 @@ def span(model: WheelModel, e: EdgeId, f: EdgeId) -> Span:
     f = t.key(f, "span is defined for non-radial edges only")
     if e == f:
         raise ValueError("span needs two distinct edges")
-    if t.crossings[t.index[e]][t.index[f]]:
+    if t.crossings[t.index[e]] >> t.index[f] & 1:
         raise ValueError("span undefined for crossing edges")
 
     hull = set(range(1, t.hull_count + 1))
@@ -98,7 +98,7 @@ def is_special_wedge(model: WheelModel, e: EdgeId, f: EdgeId) -> Optional[frozen
         return None
     t = wheel_tables(model)
     e, f = t.key(e, "radial edge"), t.key(f, "radial edge")
-    if t.kind[e] != DIAGONAL or t.kind[f] != DIAGONAL or e == f or t.crossings[t.index[e]][t.index[f]]:
+    if t.kind[e] != DIAGONAL or t.kind[f] != DIAGONAL or e == f or t.crossings[t.index[e]] >> t.index[f] & 1:
         return None
     group_of, h, k = t.group_of, t.hull_count, model.k
 

@@ -10,11 +10,9 @@ from . import edgeorder
 from .wheelgeom import (
     BOUNDARY,
     DIAGONAL,
-    CrossingGraph,
     EdgeId,
     WheelModel,
     WheelTables,
-    crossing_graph,
     edge,
     is_bumpy,
     wheel_tables,
@@ -55,10 +53,12 @@ class Partition:
     @classmethod
     def from_json(cls, obj: dict) -> "Partition":
         model = WheelModel.from_json(obj["model"])
-        es = model.edges()
         colors = obj["colors"]
-        if len(colors) != len(es):
-            raise ValueError(f"expected {len(es)} colors, got {len(colors)}")
+        nv = model.num_points
+        n_edges = nv * (nv - 1) // 2  # checked before model.edges(), which builds the model's tables
+        if len(colors) != n_edges:
+            raise ValueError(f"expected {n_edges} colors, got {len(colors)}")
+        es = model.edges()
         return cls(model=model, m=int(obj["m"]), color={e: int(c) for e, c in zip(es, colors)})
 
 
@@ -75,11 +75,15 @@ class AuditReport:
         self.violations.append(msg)
 
 
-def _class_plane(cg: CrossingGraph, es: list[EdgeId]) -> tuple[bool, list]:
-    for i, e in enumerate(es):
-        for f in es[i + 1 :]:
-            if cg.crosses(e, f):
-                return False, [e, f]
+def _class_plane(t: WheelTables, es: list[EdgeId]) -> tuple[bool, list]:
+    """Whether no two edges of the class cross; if two do, the first edge in
+    edge order that crosses another, and its lowest-index partner."""
+    index = t.index
+    mask = sum(1 << index[e] for e in es)
+    for e in es:
+        hit = t.crossings[index[e]] & mask
+        if hit:
+            return False, [e, t.edges[(hit & -hit).bit_length() - 1]]
     return True, []
 
 
@@ -105,9 +109,9 @@ def _class_components(num_vertices: int, es: list[EdgeId]) -> tuple[int, set[int
 
 def validate_plane_partition(p: Partition) -> AuditReport:
     rep = AuditReport()
-    cg = crossing_graph(p.model)
+    t = wheel_tables(p.model)
     for c, es in enumerate(p.classes()):
-        plane, bad = _class_plane(cg, es)
+        plane, bad = _class_plane(t, es)
         rep.class_flags.append({"plane": plane})
         if not plane:
             rep.flag(f"class {c}: crossing pair {bad[0]} x {bad[1]}")
@@ -118,12 +122,12 @@ def validate_plane_partition(p: Partition) -> AuditReport:
 
 def validate_spanning_trees(p: Partition) -> AuditReport:
     rep = AuditReport()
-    cg = crossing_graph(p.model)
+    t = wheel_tables(p.model)
     nv = p.model.num_points
     if p.m != p.model.n:
         rep.flag(f"m={p.m} differs from n={p.model.n}")
     for c, es in enumerate(p.classes()):
-        plane, bad = _class_plane(cg, es)
+        plane, bad = _class_plane(t, es)
         size_ok = len(es) == nv - 1
         comps, touched = _class_components(nv, es)
         connected = comps == 1

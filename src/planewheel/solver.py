@@ -49,20 +49,20 @@ def max_crossing_family(model: WheelModel) -> list[EdgeId]:
     """A large pairwise-crossing edge set, deterministically.
 
     The n-1 chords {t, t+n} interleave pairwise on any wheel; a greedy pass
-    over the remaining edges (by crossing degree) tries to grow the family.
+    over the remaining edges (by crossing degree, `degree_order`) tries to
+    grow the family.
     """
     n = model.n
     family = [(t, t + n) for t in range(1, n)]
     cg = crossing_graph(model)
-    fam_idx = {cg.index[e] for e in family}
-    by_degree = sorted(cg.edges, key=lambda e: (-cg.degree(e), e))
-    for e in by_degree:
-        i = cg.index[e]
-        if i in fam_idx:
-            continue
-        if fam_idx <= cg.neighbor_indices(i):
-            family.append(e)
-            fam_idx.add(i)
+    tables = wheel_tables(model)
+    rows = tables.crossings
+    fam = sum(1 << cg.index[e] for e in family)
+    for i in tables.degree_order:
+        # a member's row lacks its own bit, so only new edges can pass
+        if not fam & ~rows[i]:
+            family.append(cg.edges[i])
+            fam |= 1 << i
     return family
 
 
@@ -77,9 +77,9 @@ def solve(
     edges = cg.edges
     index = cg.index
 
+    t = wheel_tables(model)
     ea = [e[0] for e in edges]
     eb = [e[1] for e in edges]
-    adj_start, adj_flat = wheel_tables(model).adjacency
 
     if preassigned is None and cfg.symmetry_breaking:
         fam = max_crossing_family(model)[:m]
@@ -96,19 +96,14 @@ def solve(
     pre_set = set(pre_idx)
     if len(pre_set) < len(pre_idx):
         raise ValueError("preassigned repeats an edge")
-    rest = sorted(
-        (i for i in range(len(edges)) if i not in pre_set),
-        key=lambda i: (adj_start[i] - adj_start[i + 1], edges[i]),
-    )
-    order = pre_idx + rest
+    order = pre_idx + [i for i in t.degree_order if i not in pre_set]
 
     res = _core.search(
         model.num_points,
         m,
         ea,
         eb,
-        adj_start,
-        adj_flat,
+        t.crossings,
         order,
         pre_colors,
         _MODE_IDS[cfg.mode],

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, compress, count
+from itertools import combinations
 
 Point = tuple[Fraction, Fraction]
 EdgeId = tuple[int, int]
@@ -272,37 +272,33 @@ class WheelTables:
         raise ValueError(f"not a hull vertex: {a if not 1 <= a <= h else b}")
 
     @cached_property
-    def crossings(self) -> tuple[bytes, ...]:
-        """Crossing adjacency matrix by edge index: crossings[i][j] is 1 iff
-        edges i and j cross.  A radial edge (0, v) crosses a non-radial edge
-        iff v lies in its far arc; two non-radial edges cross iff their
-        endpoints interleave on the hull.  Rows of bytes take an eighth of
-        the memory of sets of indices and still answer a lookup in O(1)."""
+    def crossings(self) -> tuple[int, ...]:
+        """The crossing graph, one bitset row per edge index: bit j of
+        crossings[i] is set iff edges i and j cross.  A radial edge (0, v)
+        crosses a non-radial edge iff v lies in its far arc; two non-radial
+        edges cross iff their endpoints interleave on the hull."""
         index, h = self.index, self.hull_count
-        adj = [bytearray(len(self.edges)) for _ in self.edges]
+        rows = [0] * len(self.edges)
         for e, (start, length) in self.far_arc.items():
             i = index[e]
             for step in range(length):
                 j = index[(0, (start + step - 1) % h + 1)]
-                adj[i][j] = adj[j][i] = 1
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
         for a, c, b, d in combinations(range(1, h + 1), 4):
             i = index[(a, b)]
             j = index[(c, d)]
-            adj[i][j] = adj[j][i] = 1
-        return tuple(bytes(row) for row in adj)
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        return tuple(rows)
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The crossings as compressed sparse rows (start, flat): the indices
-        of the edges crossing edge i are flat[start[i]:start[i + 1]],
-        ascending.  Two flat tuples rather than one tuple per edge: per-edge
-        tuples raised the peak memory of a sweep over the 391 atlas wheels by
-        about 1.6 MB."""
-        start, flat = [0], []
-        for row in self.crossings:
-            flat.extend(compress(count(), row))
-            start.append(len(flat))
-        return tuple(start), tuple(flat)
+    def degree_order(self) -> tuple[int, ...]:
+        """Every edge index by crossing degree, descending, ties by edge: the
+        search's static branching order and the greedy order of
+        `max_crossing_family`."""
+        rows = self.crossings
+        return tuple(sorted(range(len(rows)), key=lambda i: (-rows[i].bit_count(), i)))
 
     @cached_property
     def symmetries(self) -> tuple[tuple[int, ...], ...]:
@@ -364,25 +360,14 @@ class CrossingGraph:
         self.model = model
         self.edges = t.edges
         self.index = t.index
-        self._tables = t
-        self._adj = t.crossings
+        self._rows = t.crossings
 
     def crosses(self, e: EdgeId, f: EdgeId) -> bool:
-        return self._adj[self.index[e]][self.index[f]] == 1
-
-    def neighbor_indices(self, i: int) -> set[int]:
-        start, flat = self._tables.adjacency
-        return set(flat[start[i] : start[i + 1]])
-
-    def degree(self, e: EdgeId) -> int:
-        start, _ = self._tables.adjacency
-        i = self.index[e]
-        return start[i + 1] - start[i]
+        return self._rows[self.index[e]] >> self.index[f] & 1 == 1
 
     def crossing_pairs(self) -> set[tuple[EdgeId, EdgeId]]:
         es = self.edges
-        start, flat = self._tables.adjacency
-        return {(es[i], es[flat[k]]) for i in range(len(es)) for k in range(start[i], start[i + 1]) if flat[k] > i}
+        return {(es[i], es[j]) for i, row in enumerate(self._rows) for j in range(i + 1, len(es)) if row >> j & 1}
 
 
 def crossing_graph(model: WheelModel) -> CrossingGraph:
@@ -419,8 +404,8 @@ def _crossings_match(t: WheelTables, pairs: set[tuple[EdgeId, EdgeId]], relabel)
     bijection), are exactly the crossing pairs of the model with tables t.
     Every edge pair is decided: pairs inside the crossings plus equal counts
     leave none out."""
-    adj = t.crossings
-    if 2 * len(pairs) != b"".join(adj).count(1):
+    rows = t.crossings
+    if 2 * len(pairs) != sum(row.bit_count() for row in rows):
         return False
     m = len(relabel)
     inverse = [0] * m
@@ -431,7 +416,7 @@ def _crossings_match(t: WheelTables, pairs: set[tuple[EdgeId, EdgeId]], relabel)
         a, b = inverse[a], inverse[b]
         renamed[a * m + b] = renamed[b * m + a] = i
     for (a, b), (c, d) in pairs:
-        if not adj[renamed[a * m + b]][renamed[c * m + d]]:
+        if not rows[renamed[a * m + b]] >> renamed[c * m + d] & 1:
             return False
     return True
 

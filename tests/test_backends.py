@@ -22,6 +22,8 @@ from planewheel.partition import MODE_DOUBLE_STAR, MODE_SUBGRAPH, MODE_TREE
 from planewheel.solver import SolveConfig, solve
 from planewheel.wheelgeom import build_bumpy_wheel, build_generalized_wheel
 
+# kernel.c holds each crossing row as 64-bit words: the 45, 120 and 231 edges
+# of BW_{3,3}, BW_{3,5} and BW_{3,7} take 1, 2 and 4
 INSTANCES = [
     (build_bumpy_wheel(3, 3), MODE_TREE, {}),
     (build_bumpy_wheel(3, 3), MODE_DOUBLE_STAR, {}),
@@ -68,16 +70,23 @@ def test_import_leaves_ctypes_unloaded():
 
 def test_compiled_interface(compiled_search):
     assert inspect.signature(compiled_search) == inspect.signature(search_py.search)
-    # one edge (0, 5) on 2 vertices: the bad index is refused before any pointer reaches C
+    assert len(inspect.signature(compiled_search).parameters) == 12
+    # bad input is refused before any pointer reaches C: one edge (0, 5) on 2
+    # vertices, a crossing row with bit E set, and a negative row
     with pytest.raises(ValueError):
-        compiled_search(2, 1, [0], [5], [0, 0], [], [0], [], 0, 0, 0.0, True, False)
+        compiled_search(2, 1, [0], [5], [0], [0], [], 0, 0, 0.0, True, False)
+    with pytest.raises(ValueError):
+        compiled_search(3, 1, [0, 1], [1, 2], [0, 1 << 2], [0, 1], [], 0, 0, 0.0, True, False)
+    with pytest.raises(ValueError):
+        compiled_search(3, 1, [0, 1], [1, 2], [-1, 0], [0, 1], [], 0, 0, 0.0, True, False)
+    assert compiled_search(3, 1, [0, 1], [1, 2], [0, 0], [0, 1], [], 0, 0, 0.0, True, False)["status"] == "SAT"
 
 
 def test_missing_spine_refused(compiled_search):
     """Two internal vertices of one double-star class with no edge between
     them have no spine.  Paths 0-1-2 and 3-4-5 in one colour: the last edge
     makes 4 internal next to 1, and both kernels refuse it."""
-    args = (6, 1, [0, 1, 3, 4], [1, 2, 4, 5], [0] * 5, [], [0, 1, 2, 3], [], search_py.MODE_DOUBLE_STAR,
+    args = (6, 1, [0, 1, 3, 4], [1, 2, 4, 5], [0] * 4, [0, 1, 2, 3], [], search_py.MODE_DOUBLE_STAR,
             0, 0.0, True, False)
     ref, out = search_py.search(*args), compiled_search(*args)
     assert ref["status"] == out["status"] == "UNSAT"

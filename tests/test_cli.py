@@ -3,7 +3,7 @@ import weakref
 
 import pytest
 
-from planewheel import enumerate_k3
+from planewheel import enumerate_k3, wheelgeom
 from planewheel.cli import run
 
 
@@ -46,22 +46,9 @@ def test_solve_node_limit_exit_code(tmp_path):
     assert json.loads(out.read_text())["status"] == "LIMIT"
 
 
-def test_node_limit_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("PLANEWHEEL_NODE_LIMIT", "5")
-    out = tmp_path / "result.json"
-    code = run(["solve", "--bw", "3", "5", "--mode", "spanning-tree", "-o", str(out)])
-    assert code == 3
-
-
 def _one_line_error(capsys, needle):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and needle in err, err
-
-
-def test_node_limit_env_must_be_an_integer(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PLANEWHEEL_NODE_LIMIT", "abc")
-    assert run(["solve", "--bw", "3", "3", "-o", str(tmp_path / "r.json")]) == 2
-    _one_line_error(capsys, "PLANEWHEEL_NODE_LIMIT")
 
 
 def test_negative_node_limit_rejected(tmp_path, capsys):
@@ -190,6 +177,18 @@ def test_non_utf8_partition_rejected(tmp_path, capsys, command):
     bad.write_bytes('{"m": "é"}'.encode("latin-1"))
     assert run([command, str(bad)]) == 2
     _one_line_error(capsys, "not UTF-8")
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+def test_wrong_color_count_refused_before_tables(tmp_path, capsys, command):
+    """GW_{[601,1,1]} has 604 points and 182,106 edges: one colour is refused
+    from the point count alone, without building the model's tables."""
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps({"model": {"k": 3, "sizes": [601, 1, 1]}, "m": 1, "colors": [0]}))
+    misses = wheelgeom._build_tables.cache_info().misses
+    assert run([command, str(bad)]) == 2
+    _one_line_error(capsys, "expected 182106 colors, got 1")
+    assert wheelgeom._build_tables.cache_info().misses == misses
 
 
 def test_verify_invalid_partition_fails(tmp_path):

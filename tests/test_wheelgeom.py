@@ -23,6 +23,7 @@ from planewheel.wheelgeom import (
     orientation,
     realize_coordinates,
     segments_cross,
+    wheel_tables,
     _orient_idx,
     _realization_ok,
 )
@@ -114,12 +115,14 @@ class TestCrossing:
         assert len(radial) == expected
 
     def test_crossing_graph_symmetric_irreflexive(self, bw33):
-        cg = crossing_graph(bw33)
-        for i, e in enumerate(cg.edges):
-            assert i not in cg.neighbor_indices(i)
-            for j in cg.neighbor_indices(i):
-                assert i in cg.neighbor_indices(j)
-                assert not set(e) & set(cg.edges[j])
+        t = wheel_tables(bw33)
+        rows = t.crossings
+        for i, e in enumerate(t.edges):
+            assert not rows[i] >> i & 1
+            for j, f in enumerate(t.edges):
+                assert rows[i] >> j & 1 == rows[j] >> i & 1
+                if rows[i] >> j & 1:
+                    assert not set(e) & set(f)
 
     def test_regular_triangle_wheel_has_no_crossings(self):
         m = build_generalized_wheel([1, 1, 1])
