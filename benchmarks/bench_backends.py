@@ -3,7 +3,9 @@ reference.
 
 The compiled twin is built with `ckernel.build` (the `cc` on PATH) into a
 temporary directory.  Both kernels must agree on status, node count and search
-fingerprint; the point of the benchmark is the python/C wall-time ratio.
+fingerprint; the point of the benchmark is the python/C wall-time ratio.  Each
+kernel's wall time is its best of REPEATS solves, with the two kernels taking
+turns to go first, so a burst of load on a shared machine moves it little.
 
 Usage: python benchmarks/bench_backends.py
 """
@@ -18,6 +20,8 @@ from planewheel._core import ckernel, search_py
 from planewheel.partition import MODE_DOUBLE_STAR, MODE_SUBGRAPH, MODE_TREE
 from planewheel.solver import SolveConfig, solve
 from planewheel.wheelgeom import build_bumpy_wheel, build_generalized_wheel
+
+REPEATS = 5
 
 INSTANCES = [
     ("BW_{3,3} tree", build_bumpy_wheel(3, 3), MODE_TREE),
@@ -49,10 +53,12 @@ def main():
         print("-" * len(header))
         for label, model, mode in INSTANCES:
             results = {}
-            walls = {}
-            for name, fn in kernels.items():
-                out, walls[name] = run_backend(fn, model, mode)
-                results[name] = (out.status, out.stats["nodes"], out.stats["fingerprint"])
+            walls = dict.fromkeys(kernels, float("inf"))
+            for rep in range(REPEATS):
+                for name in reversed(kernels) if rep % 2 else kernels:
+                    out, wall = run_backend(kernels[name], model, mode)
+                    walls[name] = min(walls[name], wall)
+                    results[name] = (out.status, out.stats["nodes"], out.stats["fingerprint"])
             status, nodes, _ = results["python"]
             row = f"{label:<24}" + "".join(f"{w:>11.3f}s" for w in walls.values())
             print(row + f"{walls['python'] / walls['C']:>9.1f}x   {status} nodes={nodes}")

@@ -2,9 +2,10 @@
 
    Both kernels search the identical tree: for the same input they report the
    same status, node count, max depth, search fingerprint, witness and list of
-   solutions.  Both keep crossing conflicts as per-colour bitsets, this kernel
-   over 64-bit words and search_py over Python ints, so any change to the
-   branching order or to a pruning condition is made in both.
+   solutions.  They share the branching order and every pruning condition,
+   not the state layout: this kernel keeps one row of 64-bit words per colour,
+   search_py one edge-major Python int with m + 1 bits per edge.  Any change to
+   the branching order or to a pruning condition is made in both.
 
    No Python C-API: the inputs are flat arrays, the results go to
    out-buffers the caller owns, and each all-solutions leaf is passed to a

@@ -2,10 +2,11 @@
 
 Its compiled twin, `kernel.c` (built and loaded by `ckernel`), searches the
 identical tree: both must produce the same status, node count, max depth,
-search fingerprint, witness and list of solutions for the same input.  Both
-keep crossing conflicts as per-colour bitsets, this kernel over Python ints and
-`kernel.c` over 64-bit words, so any change to the branching order or to a
-pruning condition is made in both.
+search fingerprint, witness and list of solutions for the same input.  The
+twins share the branching order and every pruning condition, not the state
+layout: this kernel holds all crossing conflicts in one edge-major Python int,
+`kernel.c` holds one row of 64-bit words per colour.  Any change to the
+branching order or to a pruning condition is made in both.
 
 Modes: 0 = plane subgraph coloring, 1 = spanning trees, 2 = double stars.
 """
@@ -53,10 +54,27 @@ def search(
     t0 = time.monotonic()
     pre_count = len(pre_colors)  # the first pre_count edges of `order` get pre_colors
 
+    # Conflicts, edge-major: edge f owns bits f*s .. f*s+m of `blocked`.  Bit
+    # f*s+c is set iff f crosses an edge coloured c; bit f*s+m is a guard that
+    # stays 0, so adding `ones` carries into it exactly at an edge with all m
+    # colours blocked.  spread[e] is cross[e] with bit f moved to f*s, in
+    # log2(E) steps: the step for width w splits the edges into runs of 2w,
+    # whose bits already sit at offsets 0..2w-1 of blocks of 2w*s bits, and
+    # moves the upper w of each run up by w*m.
+    s = m + 1
+    spread = list(cross) + [(1 << n_edges) - 1]  # the last row becomes `ones`
+    for j in reversed(range((n_edges - 1).bit_length())):
+        w = 1 << j
+        block = 2 * w * s
+        runs = -(-n_edges // (2 * w))
+        upper = ((1 << block * runs) - 1) // ((1 << block) - 1) * (((1 << w) - 1) << w)
+        spread = [x & ~upper | (x & upper) << w * m for x in spread]
+    ones = spread.pop()
+    guards = ones << m
+    group = (1 << m) - 1
+    blocked = 0
+
     colors = [-1] * n_edges
-    # bit f of blocked[c]: f crosses some edge coloured c
-    blocked = [0] * m
-    others = [[d for d in range(m) if d != c] for c in range(m)]
     # per-color union-find (no path compression, union by size, rollbackable)
     parent = [v for _ in range(m) for v in range(num_vertices)]
     usize = [1] * (m * num_vertices)
@@ -78,21 +96,76 @@ def search(
     solutions = []
     witness = None
     status = STATUS_UNSAT
-
     structural = mode != MODE_SUBGRAPH
 
-    # trail entries per depth:
-    # (e, c, union_child, union_winner, int_a, int_b, prev_max, prev_blocked)
-    trail = [None] * (n_edges + 1)
+    # trail per depth: the untried candidate colours, and what the commit
+    # there changed (union child and winner, and the class's internal
+    # vertices, max_used and `blocked` before it)
+    cands = [0] * n_edges
+    t_child = [0] * n_edges
+    t_winner = [0] * n_edges
+    t_u1 = [-1] * n_edges
+    t_u2 = [-1] * n_edges
+    t_max = [0] * n_edges
+    t_blocked = [0] * n_edges
 
-    def try_assign(e, c, depth):
-        """Colour e with c unless a constraint refuses it.  The caller has
-        already checked that no edge coloured c crosses e."""
-        nonlocal max_used, nodes, max_depth, fingerprint
-        a = ea[e]
-        b = eb[e]
+    depth = 0
+    cand = -1  # -1 on entering a depth, before its candidate colours are read
+    aborted = False
+    while True:
+        if cand < 0:
+            if depth == n_edges:
+                if not collect_all:
+                    witness = list(colors)
+                    status = STATUS_SAT
+                    break
+                solutions.append(list(colors))
+                cand = 0
+            else:
+                e = order[depth]
+                a = ea[e]
+                b = eb[e]
+                if depth < pre_count:
+                    lo = hi = pre_colors[depth]
+                else:
+                    lo = 0
+                    hi = (max_used + 1 if max_used + 1 < m else m - 1) if symmetry_breaking else m - 1
+                # colours in lo..hi that no edge crossing e holds
+                cand = ((2 << hi) - (1 << lo)) & ~(blocked >> e * s & group)
+        if not cand:
+            if depth == 0:
+                break
+            # undo the commit at depth - 1 and resume its candidates
+            depth -= 1
+            e = order[depth]
+            c = colors[e]
+            a = ea[e]
+            b = eb[e]
+            base = c * num_vertices
+            max_used = t_max[depth]
+            blocked = t_blocked[depth]
+            cand = cands[depth]
+            if structural:
+                if mode == MODE_DOUBLE_STAR:
+                    u1[c] = t_u1[depth]
+                    u2[c] = t_u2[depth]
+                deg[base + b] -= 1
+                if deg[base + b] == 0:
+                    touched[b] -= 1
+                deg[base + a] -= 1
+                if deg[base + a] == 0:
+                    touched[a] -= 1
+                child = t_child[depth]
+                usize[base + t_winner[depth]] -= usize[base + child]
+                parent[base + child] = child
+            avail[a] += 1
+            avail[b] += 1
+            colors[e] = -1
+            continue
+        low = cand & -cand
+        cand ^= low
+        c = low.bit_length() - 1
         base = c * num_vertices
-        ra = rb = -1
         if structural:
             # roots of a and b in colour c's union-find
             ra = a
@@ -102,20 +175,20 @@ def search(
             while parent[base + rb] != rb:
                 rb = parent[base + rb]
             if ra == rb:
-                return False
+                continue
             # coverage: every remaining color must still be reachable at a, b
             da = deg[base + a]
             db = deg[base + b]
             if avail[a] - 1 < m - touched[a] - (1 if da == 0 else 0):
-                return False
+                continue
             if avail[b] - 1 < m - touched[b] - (1 if db == 0 else 0):
-                return False
+                continue
             if mode == MODE_DOUBLE_STAR:
                 ia = da == 1  # a becomes internal
                 ib = db == 1
                 ni = (u1[c] >= 0) + (u2[c] >= 0) + ia + ib
                 if ni > 2:
-                    return False
+                    continue
                 if ni == 2:
                     vs = [v for v in (u1[c], u2[c]) if v >= 0]
                     if ia:
@@ -125,30 +198,27 @@ def search(
                     # the two internal vertices need their spine edge, in colour c
                     spine = edge_of[vs[0] * num_vertices + vs[1]]
                     if spine < 0 or (spine != e and colors[spine] >= 0 and colors[spine] != c):
-                        return False
-        # wipeout: an edge newly blocked in c has no colour left.  It is unassigned:
-        # an edge coloured d is not in blocked[d], one coloured c cannot cross e
-        prev_blocked = blocked[c]
-        wiped = cross[e] & ~prev_blocked
-        for d in others[c]:
-            if not wiped:
-                break
-            wiped &= blocked[d]
-        if wiped:
-            return False
+                        continue
+        # wipeout: some edge would have every colour blocked.  Before this commit
+        # none has, and an edge coloured d is never blocked in d
+        new_blocked = blocked | spread[e] << c
+        if (new_blocked + ones) & guards:
+            continue
         # commit
-        blocked[c] = prev_blocked | cross[e]
+        cands[depth] = cand
+        t_max[depth] = max_used
+        t_blocked[depth] = blocked
+        blocked = new_blocked
         colors[e] = c
         avail[a] -= 1
         avail[b] -= 1
-        union_child = union_winner = -1
-        int_a = int_b = -1
         if structural:
             if usize[base + ra] < usize[base + rb]:
                 ra, rb = rb, ra
             parent[base + rb] = ra
             usize[base + ra] += usize[base + rb]
-            union_child, union_winner = rb, ra
+            t_child[depth] = rb
+            t_winner[depth] = ra
             deg[base + a] += 1
             if deg[base + a] == 1:
                 touched[a] += 1
@@ -156,101 +226,28 @@ def search(
             if deg[base + b] == 1:
                 touched[b] += 1
             if mode == MODE_DOUBLE_STAR:
-                if deg[base + a] == 2:
-                    int_a = a
-                    if u1[c] < 0:
-                        u1[c] = a
-                    else:
-                        u2[c] = a
-                if deg[base + b] == 2:
-                    int_b = b
-                    if u1[c] < 0:
-                        u1[c] = b
-                    else:
-                        u2[c] = b
-        prev_max = max_used
+                t_u1[depth] = u1[c]
+                t_u2[depth] = u2[c]
+                for v in (a, b):
+                    if deg[base + v] == 2:  # v becomes internal
+                        if u1[c] < 0:
+                            u1[c] = v
+                        else:
+                            u2[c] = v
         if c > max_used:
             max_used = c
-        trail[depth] = (e, c, union_child, union_winner, int_a, int_b, prev_max, prev_blocked)
         nodes += 1
-        if depth + 1 > max_depth:
-            max_depth = depth + 1
+        depth += 1
+        if depth > max_depth:
+            max_depth = depth
         fingerprint = ((fingerprint ^ (e * 1000003 + c + 1)) * FNV_PRIME) & MASK64
-        return True
-
-    def unassign(depth):
-        nonlocal max_used
-        e, c, union_child, union_winner, int_a, int_b, prev_max, prev_blocked = trail[depth]
-        a = ea[e]
-        b = eb[e]
-        base = c * num_vertices
-        max_used = prev_max
-        if structural:
-            if mode == MODE_DOUBLE_STAR:
-                for v in (int_b, int_a):
-                    if v >= 0:
-                        if u2[c] == v:
-                            u2[c] = -1
-                        else:
-                            u1[c] = u2[c]
-                            u2[c] = -1
-            deg[base + b] -= 1
-            if deg[base + b] == 0:
-                touched[b] -= 1
-            deg[base + a] -= 1
-            if deg[base + a] == 0:
-                touched[a] -= 1
-            usize[base + union_winner] -= usize[base + union_child]
-            parent[base + union_child] = union_child
-        avail[a] += 1
-        avail[b] += 1
-        colors[e] = -1
-        blocked[c] = prev_blocked
-
-    depth = 0
-    choice = [-1] * (n_edges + 1)
-    aborted = False
-    while True:
-        if depth == n_edges:
-            if collect_all:
-                solutions.append(list(colors))
-                depth -= 1
-                unassign(depth)
-                continue
-            witness = list(colors)
-            status = STATUS_SAT
+        if node_limit and nodes >= node_limit:
+            aborted = True
             break
-        e = order[depth]
-        if depth < pre_count:
-            lo = pre_colors[depth]
-            hi = lo
-        else:
-            lo = 0
-            hi = (max_used + 1 if max_used + 1 < m else m - 1) if symmetry_breaking else m - 1
-        c = choice[depth] + 1
-        if c < lo:
-            c = lo
-        advanced = False
-        while c <= hi:
-            if not blocked[c] >> e & 1 and try_assign(e, c, depth):
-                choice[depth] = c
-                depth += 1
-                choice[depth] = -1
-                advanced = True
-                break
-            c += 1
-        if advanced:
-            if node_limit and nodes >= node_limit:
-                aborted = True
-                break
-            if time_limit and (nodes & 0xFFFF) == 0 and time.monotonic() - t0 > time_limit:
-                aborted = True
-                break
-            continue
-        if depth == 0:
+        if time_limit and (nodes & 0xFFFF) == 0 and time.monotonic() - t0 > time_limit:
+            aborted = True
             break
-        depth -= 1
-        unassign(depth)
+        cand = -1
 
     if aborted:
         status = STATUS_LIMIT

@@ -16,14 +16,16 @@ import pytest
 
 import planewheel
 import planewheel._core as core
+from conftest import wheel_matrix
 from planewheel._core import BACKEND, backends, ckernel, search_py
 from planewheel.doublestar import is_spine_matching, potential_matching
 from planewheel.partition import MODE_DOUBLE_STAR, MODE_SUBGRAPH, MODE_TREE
 from planewheel.solver import SolveConfig, solve
 from planewheel.wheelgeom import build_bumpy_wheel, build_generalized_wheel
 
-# kernel.c holds each crossing row as 64-bit words: the 45, 120 and 231 edges
-# of BW_{3,3}, BW_{3,5} and BW_{3,7} take 1, 2 and 4
+# The 45, 120 and 231 edges of BW_{3,3}, BW_{3,5} and BW_{3,7} (5, 8 and 11
+# colours) take 1, 2 and 4 64-bit words per row in kernel.c, and 270, 1080 and
+# 2772 bits (m + 1 per edge) in search_py's one conflict int
 INSTANCES = [
     (build_bumpy_wheel(3, 3), MODE_TREE, {}),
     (build_bumpy_wheel(3, 3), MODE_DOUBLE_STAR, {}),
@@ -94,6 +96,20 @@ def test_missing_spine_refused(compiled_search):
     assert ref["fingerprint"] == out["fingerprint"]
 
 
+@pytest.mark.parametrize("m,status,nodes", [(1, "UNSAT", 0), (2, "UNSAT", 1), (3, "SAT", 3)])
+def test_guard_carry_refuses(compiled_search, m, status, nodes):
+    """Three pairwise-crossing diagonals of a hexagon in subgraph mode.  The
+    last colour that fills an edge's group of m conflict bits carries into
+    its guard bit in search_py: with m = 2, colouring the second edge blocks
+    the third in the top colour; with m = 1 the first edge already does."""
+    args = (6, m, [0, 1, 2], [3, 4, 5], [0b110, 0b101, 0b011], [0, 1, 2], [], search_py.MODE_SUBGRAPH,
+            0, 0.0, True, False)
+    ref, out = search_py.search(*args), compiled_search(*args)
+    assert ref["status"] == out["status"] == status
+    assert ref["nodes"] == out["nodes"] == nodes
+    assert ref["fingerprint"] == out["fingerprint"]
+
+
 def assert_same(ref, out):
     assert out.status == ref.status
     for key in ("nodes", "max_depth", "fingerprint"):
@@ -132,3 +148,23 @@ def test_backends_agree_all_solutions(compiled_search):
         for fn in (search_py.search, compiled_search)
     ]
     assert sols[0] == sols[1]
+
+
+@pytest.mark.slow
+def test_backends_agree_on_the_atlas(compiled_search):
+    """Every generalized wheel with k in {3, 5} and hull at most 11, in all
+    three modes with symmetry breaking on and off, stopped at 5,000 nodes;
+    all solutions on the wheels with at most 28 edges."""
+    wheels = [sizes for sizes in wheel_matrix(11) if len(sizes) in (3, 5)]
+    assert len(wheels) == 391
+    for sizes in wheels:
+        model = build_generalized_wheel(list(sizes))
+        all_solutions = model.num_points * (model.num_points - 1) // 2 <= 28
+        for mode in (MODE_SUBGRAPH, MODE_TREE, MODE_DOUBLE_STAR):
+            for breaking in (True, False):
+                cfg = {"node_limit": 5000, "symmetry_breaking": breaking}
+                ref, out = (run_with(fn, model, mode, cfg, all_solutions=all_solutions)
+                            for fn in (search_py.search, compiled_search))
+                assert_same(ref, out)
+                if all_solutions:
+                    assert [p.color for p in ref.solutions] == [p.color for p in out.solutions], (sizes, mode)

@@ -100,8 +100,17 @@ class TestSolve:
             ((5, 5, 5), MODE_SUBGRAPH, False, ("SAT", 2487, "85780eaf58c6dc59")),
             ((5, 5, 5), MODE_TREE, False, ("UNSAT", 39773, "fe71649756df3c78")),
             ((2, 3, 3, 4, 3), MODE_TREE, False, ("SAT", 128972, "c17ac91ca12d7cba")),
+            ((2, 3, 3, 4, 5), MODE_TREE, False, ("UNSAT", 492898, "be557c7c2a87f828")),
         ],
-        ids=["bw33-tree", "bw33-double-star", "bw33-tree-all", "bw35-subgraph", "bw35-tree", "gw23343-tree"],
+        ids=[
+            "bw33-tree",
+            "bw33-double-star",
+            "bw33-tree-all",
+            "bw35-subgraph",
+            "bw35-tree",
+            "gw23343-tree",
+            "gw23345-tree",
+        ],
     )
     def test_search_tree_pinned(self, sizes, mode, all_solutions, expected):
         out = solve(build_generalized_wheel(list(sizes)), SolveConfig(mode=mode), all_solutions=all_solutions)
