@@ -51,8 +51,13 @@ def closer_than(model: WheelModel, e: EdgeId, f: EdgeId) -> bool:
 
 
 def maximal_edges(model: WheelModel, edges: Iterable[EdgeId]) -> set[EdgeId]:
-    es = list(edges)
-    return {e for e in es if not any(closer_than(model, e, f) for f in es if f != e)}
+    """The keys of the non-radial edges no other member is closer than, by
+    `closer_than`'s arc test with each member's arc read once."""
+    t = wheel_tables(model)
+    h = t.hull_count
+    keys = {t.key(e, "closer-than is defined for non-radial edges only") for e in edges}
+    arcs = [(f, t.arc_endpoints[f][0], t.dist[f]) for f in keys]
+    return {e for e in keys if not any(f != e and (e[0] - s) % h <= d and (e[1] - s) % h <= d for f, s, d in arcs)}
 
 
 def span(model: WheelModel, e: EdgeId, f: EdgeId) -> Span:

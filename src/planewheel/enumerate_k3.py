@@ -1,7 +1,11 @@
 """Constructive enumeration of every plane-spanning-tree partition of
 BW_{k,3}: three base cases with their free radial pairings, the unique
 extension covering all long diagonals, and the one-bit-per-level full
-extension down to the boundary.  Total count: 4^(k-1) + 4^(k-2)."""
+extension down to the boundary.  Total count: 4^(k-1) + 4^(k-2).
+
+The full extensions of one base are walked depth first, one level per bit:
+the edges a bit prefix places are computed once and shared by every bit
+string that starts with it."""
 
 from __future__ import annotations
 
@@ -203,46 +207,50 @@ def extend_full(pp: PartialPartition, choices) -> Partition:
     (bit 0) or its far-arc end (bit 1)."""
     if pp.stage != STAGE_BASE_EXTENDED:
         raise ValueError(f"expected stage {STAGE_BASE_EXTENDED!r}, got {pp.stage!r}")
-    model = pp.model
-    k = model.k
     bits = tuple(int(b) for b in choices)
-    if len(bits) != choice_length(k) or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"need a bit string of length {choice_length(k)}")
-    covered = dict(pp.covered)
-    d_top = 3 * (k - 1) // 2  # d_3, the lowest distance covered so far
+    if len(bits) != choice_length(pp.model.k) or any(b not in (0, 1) for b in bits):
+        raise ValueError(f"need a bit string of length {choice_length(pp.model.k)}")
+    return next(_extensions(pp, [(b,) for b in bits]))
+
+
+def _extensions(pp: PartialPartition, sides: list[tuple[int, ...]]) -> Iterator[Partition]:
+    """`extend_full` for every bit string with bit i in sides[i], in
+    `product` order: a depth-first walk over the levels that computes each
+    level's children once per bit prefix and places them in one shared
+    colour map, removing them again on the way back up."""
+    model = pp.model
     tables = wheel_tables(model)
-    by_dist: dict[int, list[EdgeId]] = {}
-    for e in covered:
-        if e[0] != 0:
-            by_dist.setdefault(tables.dist[e], []).append(e)
-    for idx, d in enumerate(range(d_top - 1, 0, -1)):
-        bit = bits[idx]
-        parents = by_dist[d + 1]
-        level = []
-        for e in parents:
-            left, right = edgeorder.distance_children(model, e)
-            child = left if bit == 0 else right
-            if child in covered:
-                raise ValueError(f"extension collision at {child}")
-            covered[child] = covered[e]
-            level.append(child)
-        by_dist[d] = level
-    if len(covered) != len(tables.edges):
-        raise ValueError(f"extension left {len(tables.edges) - len(covered)} edges uncovered")
-    return Partition(model=model, m=model.n, color=covered)
+    covered = dict(pp.covered)
+    d_top = 3 * (model.k - 1) // 2  # d_3, the lowest distance covered so far
+
+    def walk(i: int, parents: list[EdgeId]) -> Iterator[Partition]:
+        if i == len(sides):
+            if len(covered) != len(tables.edges):
+                raise ValueError(f"extension left {len(tables.edges) - len(covered)} edges uncovered")
+            yield Partition(model=model, m=model.n, color=dict(covered))
+            return
+        children = [edgeorder.distance_children(model, e) for e in parents]
+        for bit in sides[i]:
+            level = [pair[bit] for pair in children]
+            for e, child in zip(parents, level):
+                if child in covered:
+                    raise ValueError(f"extension collision at {child}")
+                covered[child] = covered[e]
+            yield from walk(i + 1, level)
+            for child in level:
+                del covered[child]
+
+    return walk(0, [e for e in covered if e[0] != 0 and tables.dist[e] == d_top])
 
 
 def enumerate_all(k: int, case: str = "all") -> Iterator[Partition]:
     _check_k(k)
     if case != "all" and case not in CASES:
         raise ValueError(f"case must be one of {CASES} or 'all'")
-    nbits = choice_length(k)
     for base in base_partitions(k):
         if case != "all" and base.case != case:
             continue
-        ext = extend_base(base)
-        for bits in product((0, 1), repeat=nbits):
-            yield extend_full(ext, bits)
+        yield from _extensions(extend_base(base), [(0, 1)] * choice_length(k))
 
 
 def count(k: int, case: str = "all") -> int:

@@ -1,6 +1,8 @@
 """Exhaustive exact search for partitions into n plane subgraphs, spanning
-trees, or double stars, with UNSAT certificates, plus the LP exporter and the
-closed-form theorem verdicts."""
+trees, or double stars, plus the LP exporter and the closed-form theorem
+verdicts.  UNSAT means the search space was exhausted under sound symmetry
+breaking; the answer carries the node count, the maximum depth and a search
+fingerprint, not a checkable certificate."""
 
 from __future__ import annotations
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planewheel import edgeorder as eo
 from planewheel.wheelgeom import (
@@ -65,6 +67,24 @@ class TestCloserThan:
         assert eo.maximal_edges(bw33, es) == {(4, 9)}
         # two crossing edges are both maximal
         assert eo.maximal_edges(bw33, [(4, 8), (5, 9)]) == {(4, 8), (5, 9)}
+
+
+# BW_{3,3}, BW_{5,3} and GW_{[2,3,3,4,3]}
+_MAXIMAL_MODELS = [build_bumpy_wheel(3, 3), build_bumpy_wheel(5, 3), build_generalized_wheel([2, 3, 3, 4, 3])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), which=st.integers(0, len(_MAXIMAL_MODELS) - 1))
+def test_maximal_edges_matches_pairwise_definition(data, which):
+    """Any set of diagonals, each given in either orientation: the maximal
+    edges are the members closer than no other member."""
+    model = _MAXIMAL_MODELS[which]
+    t = wheel_tables(model)
+    diagonals = [e for e in t.edges if t.kind[e] == DIAGONAL]
+    chosen = data.draw(st.lists(st.sampled_from(diagonals), unique=True, max_size=12))
+    es = [e[::-1] if data.draw(st.booleans()) else e for e in chosen]
+    want = {e for e in es if not any(eo.closer_than(model, e, f) for f in es if f != e)}
+    assert eo.maximal_edges(model, es) == {edge(*e) for e in want}
 
 
 class TestSpan:

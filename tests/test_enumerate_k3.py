@@ -1,5 +1,8 @@
+from itertools import product
+
 import pytest
 
+from planewheel import edgeorder
 from planewheel import enumerate_k3 as ek
 from planewheel.partition import MODE_TREE, canonical_form, structural_audit, validate_spanning_trees
 
@@ -93,3 +96,23 @@ class TestEnumeration:
     def test_bad_case_rejected(self):
         with pytest.raises(ValueError):
             list(ek.enumerate_all(3, "3"))
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_walk_equals_single_path(self, k):
+        # the shared-prefix walk yields, in order, exactly the single-path
+        # extension of every base by every bit string
+        want = [
+            list(ek.extend_full(ek.extend_base(b), bits).color.items())
+            for b in ek.base_partitions(k)
+            for bits in product((0, 1), repeat=ek.choice_length(k))
+        ]
+        assert [list(p.color.items()) for p in ek.enumerate_all(k)] == want
+
+    def test_children_computed_once_per_prefix(self, monkeypatch):
+        calls = []
+        original = edgeorder.distance_children
+        monkeypatch.setattr(edgeorder, "distance_children", lambda m, e: calls.append(e) or original(m, e))
+        assert ek.count(5) == 320
+        # 10 bases x sum over the 5 levels of 2^i prefixes x 15 parents;
+        # one call per edge per partition would be 320 x 5 x 15 = 24,000
+        assert len(calls) == 4_650
