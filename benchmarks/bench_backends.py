@@ -6,6 +6,8 @@ temporary directory.  Both kernels must agree on status, node count and search
 fingerprint; the point of the benchmark is the python/C wall-time ratio.  Each
 kernel's wall time is its best of REPEATS solves, with the two kernels taking
 turns to go first, so a burst of load on a shared machine moves it little.
+Beside it stands the kernel's search rate: nodes over its best time inside the
+kernel call (the solve's `wall_time` stat), as perfbench's `core.nodes_per_s`.
 
 Usage: python benchmarks/bench_backends.py
 """
@@ -48,19 +50,21 @@ def run_backend(fn, model, mode):
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         kernels = {"python": search_py.search, "C": ckernel.load(ckernel.build(tmp))}
-        header = f"{'instance':<24}" + "".join(f"{n:>12}" for n in kernels) + f"{'python/C':>10}"
+        header = f"{'instance':<24}" + "".join(f"{n:>12}{'nodes/s':>12}" for n in kernels) + f"{'python/C':>10}"
         print(header)
         print("-" * len(header))
         for label, model, mode in INSTANCES:
             results = {}
             walls = dict.fromkeys(kernels, float("inf"))
+            searches = dict.fromkeys(kernels, float("inf"))
             for rep in range(REPEATS):
                 for name in reversed(kernels) if rep % 2 else kernels:
                     out, wall = run_backend(kernels[name], model, mode)
                     walls[name] = min(walls[name], wall)
+                    searches[name] = min(searches[name], out.stats["wall_time"])
                     results[name] = (out.status, out.stats["nodes"], out.stats["fingerprint"])
             status, nodes, _ = results["python"]
-            row = f"{label:<24}" + "".join(f"{w:>11.3f}s" for w in walls.values())
+            row = f"{label:<24}" + "".join(f"{walls[n]:>11.3f}s{nodes / searches[n]:>12,.0f}" for n in kernels)
             print(row + f"{walls['python'] / walls['C']:>9.1f}x   {status} nodes={nodes}")
             if results["python"] != results["C"]:
                 raise SystemExit(f"backend disagreement on {label}: {results}")

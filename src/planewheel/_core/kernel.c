@@ -41,8 +41,7 @@ typedef struct {
     uint64_t *saved;   /* per depth, blocked[c] before the commit coloured c */
     /* per-colour union-find (no path compression, union by size, rollbackable) */
     int *parent, *usize, *deg;
-    int *touched; /* colours with degree > 0 at a vertex */
-    int *avail;   /* unassigned edges incident to a vertex */
+    int *slack; /* per vertex: unassigned incident edges + colours present - m (structural modes) */
     int *u1, *u2; /* internal vertices per class (double-star mode) */
     int *trail;
     int max_used;
@@ -73,11 +72,10 @@ static int try_assign(Kernel *k, int e, int c, int depth) {
         rb = find(k->parent, base, b);
         if (ra == rb)
             return 0;
-        /* coverage: every remaining colour must still be reachable at a, b */
+        /* coverage: every remaining colour must still be reachable at a, b, so
+           the commit may not take slack below 0 (it takes 1 unless c is new there) */
         int da = k->deg[base + a], db = k->deg[base + b];
-        if (k->avail[a] - 1 < m - k->touched[a] - (da == 0))
-            return 0;
-        if (k->avail[b] - 1 < m - k->touched[b] - (db == 0))
+        if (k->slack[a] + (da == 0) <= 0 || k->slack[b] + (db == 0) <= 0)
             return 0;
         if (k->mode == MODE_DOUBLE_STAR) {
             int vs[4], ni = 0;
@@ -116,8 +114,6 @@ static int try_assign(Kernel *k, int e, int c, int depth) {
         blocked[i] |= row[i];
     }
     k->colors[e] = c;
-    k->avail[a]--;
-    k->avail[b]--;
     int *t = k->trail + depth * TRAIL;
     t[0] = e;
     t[1] = c;
@@ -132,10 +128,10 @@ static int try_assign(Kernel *k, int e, int c, int depth) {
         k->usize[base + ra] += k->usize[base + rb];
         t[2] = rb;
         t[3] = ra;
-        if (++k->deg[base + a] == 1)
-            k->touched[a]++;
-        if (++k->deg[base + b] == 1)
-            k->touched[b]++;
+        if (k->deg[base + a]++)
+            k->slack[a]--;
+        if (k->deg[base + b]++)
+            k->slack[b]--;
         if (k->mode == MODE_DOUBLE_STAR) {
             if (k->deg[base + a] == 2) {
                 t[4] = a;
@@ -174,15 +170,13 @@ static void unassign(Kernel *k, int depth) {
                 k->u2[c] = -1;
             }
         }
-        if (--k->deg[base + b] == 0)
-            k->touched[b]--;
-        if (--k->deg[base + a] == 0)
-            k->touched[a]--;
+        if (--k->deg[base + b])
+            k->slack[b]++;
+        if (--k->deg[base + a])
+            k->slack[a]++;
         k->usize[base + t[3]] -= k->usize[base + t[2]];
         k->parent[base + t[2]] = t[2];
     }
-    k->avail[a]++;
-    k->avail[b]++;
     k->colors[e] = -1;
     int w = k->words;
     memcpy(k->blocked + (size_t)c * w, k->saved + (size_t)depth * w, (size_t)w * sizeof(uint64_t));
@@ -219,8 +213,7 @@ int pw_search(int nv, int m, int n_edges, const int *ea, const int *eb,
     k.parent = malloc(nm * sizeof(int));
     k.usize = malloc(nm * sizeof(int));
     k.deg = calloc(nm, sizeof(int));
-    k.touched = calloc((size_t)nv + 1, sizeof(int));
-    k.avail = calloc((size_t)nv + 1, sizeof(int));
+    k.slack = malloc(((size_t)nv + 1) * sizeof(int));
     k.u1 = malloc(((size_t)m + 1) * sizeof(int));
     k.u2 = malloc(((size_t)m + 1) * sizeof(int));
     k.trail = malloc(ne * TRAIL * sizeof(int));
@@ -231,14 +224,16 @@ int pw_search(int nv, int m, int n_edges, const int *ea, const int *eb,
     uint64_t fingerprint = FNV_OFFSET;
 
     if (!k.edge_of || !k.colors || !k.blocked || !k.saved || !k.parent || !k.usize ||
-        !k.deg || !k.touched || !k.avail || !k.u1 || !k.u2 || !k.trail || !choice)
+        !k.deg || !k.slack || !k.u1 || !k.u2 || !k.trail || !choice)
         goto done;
     for (size_t i = 0; i < nn; i++)
         k.edge_of[i] = -1;
+    for (int v = 0; v < nv; v++)
+        k.slack[v] = -m;
     for (int i = 0; i < n_edges; i++) {
         k.colors[i] = -1;
-        k.avail[ea[i]]++;
-        k.avail[eb[i]]++;
+        k.slack[ea[i]]++;
+        k.slack[eb[i]]++;
         k.edge_of[ea[i] * nv + eb[i]] = k.edge_of[eb[i] * nv + ea[i]] = i;
     }
     for (int c = 0; c < m; c++) {
@@ -311,8 +306,7 @@ done:
     free(k.parent);
     free(k.usize);
     free(k.deg);
-    free(k.touched);
-    free(k.avail);
+    free(k.slack);
     free(k.u1);
     free(k.u2);
     free(k.trail);

@@ -8,6 +8,11 @@ layout: this kernel holds all crossing conflicts in one edge-major Python int,
 `kernel.c` holds one row of 64-bit words per colour.  Any change to the
 branching order or to a pruning condition is made in both.
 
+The per-node path reads each depth's edge, ends, conflict offset, spread row
+and fingerprint term from one tuple built per call, keeps one union-find
+(parent, size, degree) list per colour, and tests coverage with one `slack`
+counter per vertex: unassigned incident edges + colours present - m.
+
 Modes: 0 = plane subgraph coloring, 1 = spanning trees, 2 = double stars.
 """
 
@@ -73,20 +78,26 @@ def search(
     guards = ones << m
     group = (1 << m) - 1
     blocked = 0
+    # per depth: the edge branched on, its ends, its conflict-group offset, its
+    # spread row and its fingerprint term less the colour
+    rows = [(e, ea[e], eb[e], e * s, spread[e], e * 1000003 + 1) for e in order]
 
     colors = [-1] * n_edges
-    # per-color union-find (no path compression, union by size, rollbackable)
-    parent = [v for _ in range(m) for v in range(num_vertices)]
-    usize = [1] * (m * num_vertices)
-    deg = [0] * (m * num_vertices)
-    touched = [0] * num_vertices  # colors with degree > 0 at this vertex
-    avail = [0] * num_vertices  # unassigned incident edges
+    # per-colour union-find (no path compression, union by size, rollbackable)
+    # and vertex degrees
+    parent = [list(range(num_vertices)) for _ in range(m)]
+    usize = [[1] * num_vertices for _ in range(m)]
+    deg = [[0] * num_vertices for _ in range(m)]
+    # per vertex, kept in the structural modes: unassigned incident edges +
+    # colours present - m.  Colouring an edge at v takes 1 from it unless the
+    # colour is new at v; below 0, some colour can no longer reach v
+    slack = [-m] * num_vertices
     u1 = [-1] * m  # internal vertices per class (double-star mode)
     u2 = [-1] * m
     edge_of = [-1] * (num_vertices * num_vertices)  # vertex pair -> edge index, -1 if no edge
     for i in range(n_edges):
-        avail[ea[i]] += 1
-        avail[eb[i]] += 1
+        slack[ea[i]] += 1
+        slack[eb[i]] += 1
         edge_of[ea[i] * num_vertices + eb[i]] = edge_of[eb[i] * num_vertices + ea[i]] = i
 
     max_used = -1
@@ -97,6 +108,13 @@ def search(
     witness = None
     status = STATUS_UNSAT
     structural = mode != MODE_SUBGRAPH
+    double_star = mode == MODE_DOUBLE_STAR
+    # the next node count at which a limit is tested: node_limit, or the next
+    # multiple of 2^16 for the clock
+    never = 1 << 63
+    stop = node_limit or never
+    tick = 0x10000 if time_limit else never
+    check = min(stop, tick)
 
     # trail per depth: the untried candidate colours, and what the commit
     # there changed (union child and winner, and the class's internal
@@ -122,86 +140,83 @@ def search(
                 solutions.append(list(colors))
                 cand = 0
             else:
-                e = order[depth]
-                a = ea[e]
-                b = eb[e]
+                e, a, b, es, sp, fe = rows[depth]
                 if depth < pre_count:
                     lo = hi = pre_colors[depth]
                 else:
                     lo = 0
                     hi = (max_used + 1 if max_used + 1 < m else m - 1) if symmetry_breaking else m - 1
                 # colours in lo..hi that no edge crossing e holds
-                cand = ((2 << hi) - (1 << lo)) & ~(blocked >> e * s & group)
+                cand = ((2 << hi) - (1 << lo)) & ~(blocked >> es & group)
         if not cand:
             if depth == 0:
                 break
             # undo the commit at depth - 1 and resume its candidates
             depth -= 1
-            e = order[depth]
+            e, a, b, es, sp, fe = rows[depth]
             c = colors[e]
-            a = ea[e]
-            b = eb[e]
-            base = c * num_vertices
             max_used = t_max[depth]
             blocked = t_blocked[depth]
             cand = cands[depth]
             if structural:
-                if mode == MODE_DOUBLE_STAR:
+                if double_star:
                     u1[c] = t_u1[depth]
                     u2[c] = t_u2[depth]
-                deg[base + b] -= 1
-                if deg[base + b] == 0:
-                    touched[b] -= 1
-                deg[base + a] -= 1
-                if deg[base + a] == 0:
-                    touched[a] -= 1
+                dg = deg[c]
+                d = dg[b] = dg[b] - 1
+                if d:
+                    slack[b] += 1
+                d = dg[a] = dg[a] - 1
+                if d:
+                    slack[a] += 1
                 child = t_child[depth]
-                usize[base + t_winner[depth]] -= usize[base + child]
-                parent[base + child] = child
-            avail[a] += 1
-            avail[b] += 1
+                us = usize[c]
+                us[t_winner[depth]] -= us[child]
+                parent[c][child] = child
             colors[e] = -1
             continue
         low = cand & -cand
         cand ^= low
         c = low.bit_length() - 1
-        base = c * num_vertices
         if structural:
             # roots of a and b in colour c's union-find
+            par = parent[c]
             ra = a
-            while parent[base + ra] != ra:
-                ra = parent[base + ra]
+            while (r := par[ra]) != ra:
+                ra = r
             rb = b
-            while parent[base + rb] != rb:
-                rb = parent[base + rb]
+            while (r := par[rb]) != rb:
+                rb = r
             if ra == rb:
                 continue
-            # coverage: every remaining color must still be reachable at a, b
-            da = deg[base + a]
-            db = deg[base + b]
-            if avail[a] - 1 < m - touched[a] - (1 if da == 0 else 0):
+            # coverage: every remaining colour must still be reachable at a, b,
+            # so the commit may not take slack below 0
+            dg = deg[c]
+            da = dg[a]
+            db = dg[b]
+            if slack[a] + (da == 0) <= 0 or slack[b] + (db == 0) <= 0:
                 continue
-            if avail[b] - 1 < m - touched[b] - (1 if db == 0 else 0):
-                continue
-            if mode == MODE_DOUBLE_STAR:
+            if double_star:
                 ia = da == 1  # a becomes internal
                 ib = db == 1
-                ni = (u1[c] >= 0) + (u2[c] >= 0) + ia + ib
+                x = u1[c]
+                y = u2[c]
+                ni = (x >= 0) + (y >= 0) + ia + ib
                 if ni > 2:
                     continue
                 if ni == 2:
-                    vs = [v for v in (u1[c], u2[c]) if v >= 0]
-                    if ia:
-                        vs.append(a)
-                    if ib:
-                        vs.append(b)
-                    # the two internal vertices need their spine edge, in colour c
-                    spine = edge_of[vs[0] * num_vertices + vs[1]]
+                    # the two internal vertices, first of u1, u2, a, b, need
+                    # their spine edge, in colour c
+                    if x < 0:
+                        x, y = a, b
+                    elif y < 0:
+                        y = a if ia else b
+                    spine = edge_of[x * num_vertices + y]
                     if spine < 0 or (spine != e and colors[spine] >= 0 and colors[spine] != c):
                         continue
         # wipeout: some edge would have every colour blocked.  Before this commit
         # none has, and an edge coloured d is never blocked in d
-        new_blocked = blocked | spread[e] << c
+        new_blocked = blocked | sp << c
         if (new_blocked + ones) & guards:
             continue
         # commit
@@ -210,43 +225,46 @@ def search(
         t_blocked[depth] = blocked
         blocked = new_blocked
         colors[e] = c
-        avail[a] -= 1
-        avail[b] -= 1
         if structural:
-            if usize[base + ra] < usize[base + rb]:
+            us = usize[c]
+            if us[ra] < us[rb]:
                 ra, rb = rb, ra
-            parent[base + rb] = ra
-            usize[base + ra] += usize[base + rb]
+            par[rb] = ra
+            us[ra] += us[rb]
             t_child[depth] = rb
             t_winner[depth] = ra
-            deg[base + a] += 1
-            if deg[base + a] == 1:
-                touched[a] += 1
-            deg[base + b] += 1
-            if deg[base + b] == 1:
-                touched[b] += 1
-            if mode == MODE_DOUBLE_STAR:
+            dg[a] = da + 1
+            dg[b] = db + 1
+            if da:
+                slack[a] -= 1
+            if db:
+                slack[b] -= 1
+            if double_star:
                 t_u1[depth] = u1[c]
                 t_u2[depth] = u2[c]
-                for v in (a, b):
-                    if deg[base + v] == 2:  # v becomes internal
-                        if u1[c] < 0:
-                            u1[c] = v
-                        else:
-                            u2[c] = v
+                if da == 1:  # a becomes internal
+                    if u1[c] < 0:
+                        u1[c] = a
+                    else:
+                        u2[c] = a
+                if db == 1:
+                    if u1[c] < 0:
+                        u1[c] = b
+                    else:
+                        u2[c] = b
         if c > max_used:
             max_used = c
         nodes += 1
         depth += 1
         if depth > max_depth:
             max_depth = depth
-        fingerprint = ((fingerprint ^ (e * 1000003 + c + 1)) * FNV_PRIME) & MASK64
-        if node_limit and nodes >= node_limit:
-            aborted = True
-            break
-        if time_limit and (nodes & 0xFFFF) == 0 and time.monotonic() - t0 > time_limit:
-            aborted = True
-            break
+        fingerprint = ((fingerprint ^ (fe + c)) * FNV_PRIME) & MASK64
+        if nodes >= check:
+            if nodes >= stop or time.monotonic() - t0 > time_limit:
+                aborted = True
+                break
+            tick += 0x10000
+            check = min(stop, tick)
         cand = -1
 
     if aborted:

@@ -52,12 +52,20 @@ def closer_than(model: WheelModel, e: EdgeId, f: EdgeId) -> bool:
 
 def maximal_edges(model: WheelModel, edges: Iterable[EdgeId]) -> set[EdgeId]:
     """The keys of the non-radial edges no other member is closer than, by
-    `closer_than`'s arc test with each member's arc read once."""
+    `closer_than`'s arc test.  e <_c f puts e's far arc strictly inside f's,
+    so dist(e) < dist(f), and the order is transitive: in decreasing distance,
+    a member is maximal iff it is closer than none of the maximal ones before it."""
     t = wheel_tables(model)
     h = t.hull_count
+    dist = t.dist
     keys = {t.key(e, "closer-than is defined for non-radial edges only") for e in edges}
-    arcs = [(f, t.arc_endpoints[f][0], t.dist[f]) for f in keys]
-    return {e for e in keys if not any(f != e and (e[0] - s) % h <= d and (e[1] - s) % h <= d for f, s, d in arcs)}
+    maximal = set()
+    arcs = []  # (arc start, dist) of each maximal member so far
+    for e in sorted(keys, key=dist.__getitem__, reverse=True):
+        if not any((e[0] - s) % h <= d and (e[1] - s) % h <= d for s, d in arcs):
+            maximal.add(e)
+            arcs.append((t.arc_endpoints[e][0], dist[e]))
+    return maximal
 
 
 def span(model: WheelModel, e: EdgeId, f: EdgeId) -> Span:

@@ -367,7 +367,14 @@ class CrossingGraph:
 
     def crossing_pairs(self) -> set[tuple[EdgeId, EdgeId]]:
         es = self.edges
-        return {(es[i], es[j]) for i, row in enumerate(self._rows) for j in range(i + 1, len(es)) if row >> j & 1}
+        pairs = set()
+        for i, row in enumerate(self._rows):
+            later = row >> (i + 1)  # bit j - i - 1: edge j > i crosses edge i
+            while later:
+                low = later & -later
+                pairs.add((es[i], es[i + low.bit_length()]))
+                later ^= low
+        return pairs
 
 
 def crossing_graph(model: WheelModel) -> CrossingGraph:

@@ -37,6 +37,8 @@ INSTANCES = [
     (build_bumpy_wheel(3, 3), MODE_DOUBLE_STAR, {"symmetry_breaking": False}),
     (build_bumpy_wheel(3, 5), MODE_TREE, {"node_limit": 1000}),
     (build_bumpy_wheel(3, 7), MODE_TREE, {"time_limit": 1e-6}),
+    # both limits on: the clock is read at 2^16 nodes and the node limit stops the search one node later
+    (build_bumpy_wheel(3, 7), MODE_TREE, {"node_limit": 65537, "time_limit": 1e6}),
 ]
 
 
@@ -110,6 +112,24 @@ def test_guard_carry_refuses(compiled_search, m, status, nodes):
     assert ref["fingerprint"] == out["fingerprint"]
 
 
+@pytest.mark.parametrize("nv,ea,eb,nodes", [
+    (4, [0, 0, 0, 1], [1, 3, 2, 2], 1),
+    (3, [0, 0, 1], [1, 2, 2], 2),
+], ids=["pendant", "triangle"])
+def test_coverage_refuses(compiled_search, nv, ea, eb, nodes):
+    """Two spanning trees on a graph with no crossings, where no colour closes
+    a cycle before the coverage rule refuses it.  With a pendant vertex 3,
+    edge (0, 3) is refused in both colours at 3, where it has degree 0: one
+    edge cannot bring 3 two colours.  On a triangle every vertex has one edge
+    per colour, so edge (0, 2) is refused in colour 0 at 0, where 0 already
+    has degree 1, and edge (1, 2) in both colours at a vertex of degree 1."""
+    args = (nv, 2, ea, eb, [0] * len(ea), list(range(len(ea))), [], search_py.MODE_TREE, 0, 0.0, True, False)
+    ref, out = search_py.search(*args), compiled_search(*args)
+    assert ref["status"] == out["status"] == "UNSAT"
+    assert ref["nodes"] == out["nodes"] == nodes
+    assert ref["fingerprint"] == out["fingerprint"]
+
+
 def assert_same(ref, out):
     assert out.status == ref.status
     for key in ("nodes", "max_depth", "fingerprint"):
@@ -126,6 +146,8 @@ def test_backends_agree(compiled_search, model, mode, cfg):
     assert_same(ref, run_with(compiled_search, model, mode, cfg))
     if "node_limit" in cfg or "time_limit" in cfg:
         assert ref.status == "LIMIT"
+    if "node_limit" in cfg:
+        assert ref.stats["nodes"] == cfg["node_limit"]
 
 
 @pytest.mark.parametrize("sizes,spine,status", [((1,) * 9, True, "SAT"), ((2, 2, 1, 1, 1), False, "UNSAT")])

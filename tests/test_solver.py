@@ -80,7 +80,7 @@ class TestSolve:
     def test_node_limit_reports_limit(self, bw35):
         out = solve(bw35, SolveConfig(mode=MODE_TREE, node_limit=10))
         assert out.status == "LIMIT"
-        assert out.stats["nodes"] <= 11
+        assert out.stats["nodes"] == 10
 
     def test_time_limit_reports_limit(self):
         # the clock is read every 2**16 nodes, so the first reading stops it;
