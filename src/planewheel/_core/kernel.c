@@ -11,7 +11,14 @@
    out-buffers the caller owns, and each all-solutions leaf is passed to a
    callback.  ckernel.py builds this file and loads it with ctypes.
 
-   Modes: 0 = plane subgraph colouring, 1 = spanning trees, 2 = double stars. */
+   Modes: 0 = plane subgraph colouring, 1 = spanning trees, 2 = double stars.
+
+   The structural modes test only that each class stays acyclic (and, for
+   double stars, the spine rule).  They assume E = m(nv - 1), which solve()
+   always passes: m = n colours on 2n points.  Then every leaf is a partition
+   into spanning trees: each class is a forest, so it has at most nv - 1 edges;
+   the m classes share all m(nv - 1) edges, so each has exactly nv - 1 and is a
+   spanning tree. */
 
 #define _POSIX_C_SOURCE 199309L
 
@@ -40,9 +47,9 @@ typedef struct {
     uint64_t *blocked; /* bit f of row c: f crosses some edge coloured c */
     uint64_t *saved;   /* per depth, blocked[c] before the commit coloured c */
     /* per-colour union-find (no path compression, union by size, rollbackable) */
-    int *parent, *usize, *deg;
-    int *slack; /* per vertex: unassigned incident edges + colours present - m (structural modes) */
-    int *u1, *u2; /* internal vertices per class (double-star mode) */
+    int *parent, *usize;
+    /* double-star mode: per-colour vertex degrees and internal vertices per class */
+    int *deg, *u1, *u2;
     int *trail;
     int max_used;
 } Kernel;
@@ -72,13 +79,8 @@ static int try_assign(Kernel *k, int e, int c, int depth) {
         rb = find(k->parent, base, b);
         if (ra == rb)
             return 0;
-        /* coverage: every remaining colour must still be reachable at a, b, so
-           the commit may not take slack below 0 (it takes 1 unless c is new there) */
-        int da = k->deg[base + a], db = k->deg[base + b];
-        if (k->slack[a] + (da == 0) <= 0 || k->slack[b] + (db == 0) <= 0)
-            return 0;
         if (k->mode == MODE_DOUBLE_STAR) {
-            int vs[4], ni = 0;
+            int vs[4], ni = 0, da = k->deg[base + a], db = k->deg[base + b];
             if (k->u1[c] >= 0)
                 vs[ni++] = k->u1[c];
             if (k->u2[c] >= 0)
@@ -128,19 +130,15 @@ static int try_assign(Kernel *k, int e, int c, int depth) {
         k->usize[base + ra] += k->usize[base + rb];
         t[2] = rb;
         t[3] = ra;
-        if (k->deg[base + a]++)
-            k->slack[a]--;
-        if (k->deg[base + b]++)
-            k->slack[b]--;
         if (k->mode == MODE_DOUBLE_STAR) {
-            if (k->deg[base + a] == 2) {
+            if (++k->deg[base + a] == 2) {
                 t[4] = a;
                 if (k->u1[c] < 0)
                     k->u1[c] = a;
                 else
                     k->u2[c] = a;
             }
-            if (k->deg[base + b] == 2) {
+            if (++k->deg[base + b] == 2) {
                 t[5] = b;
                 if (k->u1[c] < 0)
                     k->u1[c] = b;
@@ -169,11 +167,9 @@ static void unassign(Kernel *k, int depth) {
                     k->u1[c] = k->u2[c];
                 k->u2[c] = -1;
             }
+            k->deg[base + b]--;
+            k->deg[base + a]--;
         }
-        if (--k->deg[base + b])
-            k->slack[b]++;
-        if (--k->deg[base + a])
-            k->slack[a]++;
         k->usize[base + t[3]] -= k->usize[base + t[2]];
         k->parent[base + t[2]] = t[2];
     }
@@ -213,7 +209,6 @@ int pw_search(int nv, int m, int n_edges, const int *ea, const int *eb,
     k.parent = malloc(nm * sizeof(int));
     k.usize = malloc(nm * sizeof(int));
     k.deg = calloc(nm, sizeof(int));
-    k.slack = malloc(((size_t)nv + 1) * sizeof(int));
     k.u1 = malloc(((size_t)m + 1) * sizeof(int));
     k.u2 = malloc(((size_t)m + 1) * sizeof(int));
     k.trail = malloc(ne * TRAIL * sizeof(int));
@@ -224,16 +219,12 @@ int pw_search(int nv, int m, int n_edges, const int *ea, const int *eb,
     uint64_t fingerprint = FNV_OFFSET;
 
     if (!k.edge_of || !k.colors || !k.blocked || !k.saved || !k.parent || !k.usize ||
-        !k.deg || !k.slack || !k.u1 || !k.u2 || !k.trail || !choice)
+        !k.deg || !k.u1 || !k.u2 || !k.trail || !choice)
         goto done;
     for (size_t i = 0; i < nn; i++)
         k.edge_of[i] = -1;
-    for (int v = 0; v < nv; v++)
-        k.slack[v] = -m;
     for (int i = 0; i < n_edges; i++) {
         k.colors[i] = -1;
-        k.slack[ea[i]]++;
-        k.slack[eb[i]]++;
         k.edge_of[ea[i] * nv + eb[i]] = k.edge_of[eb[i] * nv + ea[i]] = i;
     }
     for (int c = 0; c < m; c++) {
@@ -306,7 +297,6 @@ done:
     free(k.parent);
     free(k.usize);
     free(k.deg);
-    free(k.slack);
     free(k.u1);
     free(k.u2);
     free(k.trail);

@@ -9,9 +9,16 @@ layout: this kernel holds all crossing conflicts in one edge-major Python int,
 branching order or to a pruning condition is made in both.
 
 The per-node path reads each depth's edge, ends, conflict offset, spread row
-and fingerprint term from one tuple built per call, keeps one union-find
-(parent, size, degree) list per colour, and tests coverage with one `slack`
-counter per vertex: unassigned incident edges + colours present - m.
+and fingerprint term from one tuple built per call, and keeps one union-find
+(parent, size) list per colour, plus one degree list per colour in
+double-star mode.
+
+The structural modes test only that each class stays acyclic (and, for
+double stars, the spine rule).  They assume E = m(nv - 1), which `solve`
+always passes: m = n colours on 2n points.  Then every leaf is a partition
+into spanning trees: each class is a forest, so it has at most nv - 1 edges;
+the m classes share all m(nv - 1) edges, so each has exactly nv - 1 and is a
+spanning tree.
 
 Modes: 0 = plane subgraph coloring, 1 = spanning trees, 2 = double stars.
 """
@@ -84,20 +91,14 @@ def search(
 
     colors = [-1] * n_edges
     # per-colour union-find (no path compression, union by size, rollbackable)
-    # and vertex degrees
     parent = [list(range(num_vertices)) for _ in range(m)]
     usize = [[1] * num_vertices for _ in range(m)]
+    # double-star mode: per-colour vertex degrees and internal vertices per class
     deg = [[0] * num_vertices for _ in range(m)]
-    # per vertex, kept in the structural modes: unassigned incident edges +
-    # colours present - m.  Colouring an edge at v takes 1 from it unless the
-    # colour is new at v; below 0, some colour can no longer reach v
-    slack = [-m] * num_vertices
-    u1 = [-1] * m  # internal vertices per class (double-star mode)
+    u1 = [-1] * m
     u2 = [-1] * m
     edge_of = [-1] * (num_vertices * num_vertices)  # vertex pair -> edge index, -1 if no edge
     for i in range(n_edges):
-        slack[ea[i]] += 1
-        slack[eb[i]] += 1
         edge_of[ea[i] * num_vertices + eb[i]] = edge_of[eb[i] * num_vertices + ea[i]] = i
 
     max_used = -1
@@ -162,13 +163,9 @@ def search(
                 if double_star:
                     u1[c] = t_u1[depth]
                     u2[c] = t_u2[depth]
-                dg = deg[c]
-                d = dg[b] = dg[b] - 1
-                if d:
-                    slack[b] += 1
-                d = dg[a] = dg[a] - 1
-                if d:
-                    slack[a] += 1
+                    dg = deg[c]
+                    dg[a] -= 1
+                    dg[b] -= 1
                 child = t_child[depth]
                 us = usize[c]
                 us[t_winner[depth]] -= us[child]
@@ -189,14 +186,10 @@ def search(
                 rb = r
             if ra == rb:
                 continue
-            # coverage: every remaining colour must still be reachable at a, b,
-            # so the commit may not take slack below 0
-            dg = deg[c]
-            da = dg[a]
-            db = dg[b]
-            if slack[a] + (da == 0) <= 0 or slack[b] + (db == 0) <= 0:
-                continue
             if double_star:
+                dg = deg[c]
+                da = dg[a]
+                db = dg[b]
                 ia = da == 1  # a becomes internal
                 ib = db == 1
                 x = u1[c]
@@ -233,13 +226,9 @@ def search(
             us[ra] += us[rb]
             t_child[depth] = rb
             t_winner[depth] = ra
-            dg[a] = da + 1
-            dg[b] = db + 1
-            if da:
-                slack[a] -= 1
-            if db:
-                slack[b] -= 1
             if double_star:
+                dg[a] = da + 1
+                dg[b] = db + 1
                 t_u1[depth] = u1[c]
                 t_u2[depth] = u2[c]
                 if da == 1:  # a becomes internal

@@ -142,6 +142,10 @@ def _cmd_solve(args) -> int:
         symmetry_breaking=not args.no_symmetry_breaking,
     )
     outcome = solver.solve(model, cfg)
+    if outcome.witness is not None:
+        rep = partition_mod.VALIDATORS[cfg.mode](outcome.witness)
+        if not rep.ok:
+            raise CliError(f"{outcome.status} witness fails validation: {rep.violations[0]}", 1)
     _write(args.output, json.dumps(outcome.to_json(), indent=2))
     if outcome.witness is not None and args.partition_out:
         _write(args.partition_out, json.dumps(outcome.witness.to_json()))
@@ -187,12 +191,7 @@ def _load_partition(path: str) -> Partition:
 def _cmd_verify(args) -> int:
     p = _load_partition(args.partition)
     mode = MODE_FLAGS[args.mode]
-    if mode == MODE_TREE:
-        rep = partition_mod.validate_spanning_trees(p)
-    elif mode == MODE_DOUBLE_STAR:
-        rep = partition_mod.validate_double_stars(p)
-    else:
-        rep = partition_mod.validate_plane_partition(p)
+    rep = partition_mod.VALIDATORS[mode](p)
     audit = partition_mod.structural_audit(p, mode) if rep.ok else None
     report = {
         "mode": args.mode,

@@ -166,6 +166,13 @@ def validate_double_stars(p: Partition) -> AuditReport:
     return rep
 
 
+VALIDATORS = {
+    MODE_SUBGRAPH: validate_plane_partition,
+    MODE_TREE: validate_spanning_trees,
+    MODE_DOUBLE_STAR: validate_double_stars,
+}
+
+
 def _maximal_diagonals(model: WheelModel, t: WheelTables, es: list[EdgeId]) -> set[EdgeId]:
     return edgeorder.maximal_edges(model, [e for e in es if t.kind[e] == DIAGONAL])
 

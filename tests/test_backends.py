@@ -112,22 +112,26 @@ def test_guard_carry_refuses(compiled_search, m, status, nodes):
     assert ref["fingerprint"] == out["fingerprint"]
 
 
-@pytest.mark.parametrize("nv,ea,eb,nodes", [
-    (4, [0, 0, 0, 1], [1, 3, 2, 2], 1),
-    (3, [0, 0, 1], [1, 2, 2], 2),
-], ids=["pendant", "triangle"])
-def test_coverage_refuses(compiled_search, nv, ea, eb, nodes):
-    """Two spanning trees on a graph with no crossings, where no colour closes
-    a cycle before the coverage rule refuses it.  With a pendant vertex 3,
-    edge (0, 3) is refused in both colours at 3, where it has degree 0: one
-    edge cannot bring 3 two colours.  On a triangle every vertex has one edge
-    per colour, so edge (0, 2) is refused in colour 0 at 0, where 0 already
-    has degree 1, and edge (1, 2) in both colours at a vertex of degree 1."""
-    args = (nv, 2, ea, eb, [0] * len(ea), list(range(len(ea))), [], search_py.MODE_TREE, 0, 0.0, True, False)
+@pytest.mark.parametrize("mode", [search_py.MODE_TREE, search_py.MODE_DOUBLE_STAR])
+@pytest.mark.parametrize("breaking,count", [(True, 6), (False, 12)])
+def test_two_spanning_trees_of_k4(compiled_search, mode, breaking, count):
+    """K4 with m = 2 and no crossings has E = 6 = m(nv - 1), so every leaf is a
+    partition into two spanning trees.  A star's complement is a triangle, so
+    these are the 12 Hamiltonian paths, each paired with its complement path;
+    paths are double stars too.  Colour symmetry breaking keeps one of each
+    pair of colour-swapped colourings."""
+    ea, eb = [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]
+    args = (4, 2, ea, eb, [0] * 6, list(range(6)), [], mode, 0, 0.0, breaking, True)
     ref, out = search_py.search(*args), compiled_search(*args)
-    assert ref["status"] == out["status"] == "UNSAT"
-    assert ref["nodes"] == out["nodes"] == nodes
+    assert ref["status"] == out["status"] == "SAT"
+    assert ref["nodes"] == out["nodes"]
     assert ref["fingerprint"] == out["fingerprint"]
+    assert ref["solutions"] == out["solutions"]
+    assert len(ref["solutions"]) == count
+    for colors in ref["solutions"]:
+        for c in range(2):
+            ends = [v for i, v in enumerate(ea + eb) if colors[i % 6] == c]
+            assert sorted(ends.count(v) for v in range(4)) == [1, 1, 2, 2]
 
 
 def assert_same(ref, out):

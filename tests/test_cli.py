@@ -1,9 +1,10 @@
 import json
 import weakref
+from dataclasses import replace
 
 import pytest
 
-from planewheel import enumerate_k3, wheelgeom
+from planewheel import enumerate_k3, solver, wheelgeom
 from planewheel.cli import run
 
 
@@ -37,6 +38,24 @@ def test_solve_expect_mismatch(tmp_path, capsys):
     out = tmp_path / "result.json"
     code = run(["solve", "--bw", "3", "3", "--mode", "spanning-tree", "--expect", "unsat", "-o", str(out)])
     assert code == 1
+
+
+def test_solve_refuses_an_invalid_witness(tmp_path, capsys, monkeypatch):
+    real = solver.solve
+
+    def with_cycle(model, cfg):
+        out = real(model, cfg)
+        # a hull edge crosses nothing; moved into class 0, a spanning tree, it closes a cycle
+        t = wheelgeom.wheel_tables(model)
+        e = next(e for e in t.edges if t.kind[e] == wheelgeom.BOUNDARY and out.witness.color[e] != 0)
+        out.witness = replace(out.witness, color={**out.witness.color, e: 0})
+        return out
+
+    monkeypatch.setattr(solver, "solve", with_cycle)
+    out, part = tmp_path / "r.json", tmp_path / "p.json"
+    assert run(["solve", "--bw", "3", "3", "-o", str(out), "--partition-out", str(part)]) == 1
+    _one_line_error(capsys, "SAT witness fails validation: class 0")
+    assert not out.exists() and not part.exists()
 
 
 def test_solve_node_limit_exit_code(tmp_path):

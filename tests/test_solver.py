@@ -15,6 +15,8 @@ from planewheel.partition import (
 from planewheel.solver import SolveConfig, decide_theorem, export_lp, max_crossing_family, solve
 from planewheel.wheelgeom import build_bumpy_wheel, build_generalized_wheel, crossing_graph
 
+VERDICT_KEY = {MODE_SUBGRAPH: "subgraph", MODE_TREE: "tree", MODE_DOUBLE_STAR: "double_star"}
+
 
 class TestConfig:
     def test_unknown_mode_rejected(self):
@@ -89,18 +91,20 @@ class TestSolve:
         assert out.status == "LIMIT"
         assert out.stats["nodes"] == 65536
 
-    # (status, nodes, fingerprint) as recorded for the benchmark's solve ladder
-    # in perfbench/results/baseline.json: any change to the search tree shows here
+    # (status, nodes, fingerprint) of the seven questions of the benchmark's
+    # solve ladder: any change to the search tree shows here.  The ladder's
+    # recorded baseline predates the removal of the coverage rule, so its
+    # tree-mode rows other than BW_{3,5} hold smaller trees
     @pytest.mark.parametrize(
         "sizes,mode,all_solutions,expected",
         [
-            ((3, 3, 3), MODE_TREE, False, ("SAT", 108, "860680bab3ad1da5")),
+            ((3, 3, 3), MODE_TREE, False, ("SAT", 116, "76f40e4804d887f7")),
             ((3, 3, 3), MODE_DOUBLE_STAR, False, ("UNSAT", 318, "73b30a7f9e7406ae")),
-            ((3, 3, 3), MODE_TREE, True, ("SAT", 7121, "9c05fc68cb6e34d0")),
+            ((3, 3, 3), MODE_TREE, True, ("SAT", 9019, "20ac9175c6d2c0ca")),
             ((5, 5, 5), MODE_SUBGRAPH, False, ("SAT", 2487, "85780eaf58c6dc59")),
             ((5, 5, 5), MODE_TREE, False, ("UNSAT", 39773, "fe71649756df3c78")),
-            ((2, 3, 3, 4, 3), MODE_TREE, False, ("SAT", 128972, "c17ac91ca12d7cba")),
-            ((2, 3, 3, 4, 5), MODE_TREE, False, ("UNSAT", 492898, "be557c7c2a87f828")),
+            ((2, 3, 3, 4, 3), MODE_TREE, False, ("SAT", 129842, "9ca60fae274fb749")),
+            ((2, 3, 3, 4, 5), MODE_TREE, False, ("UNSAT", 493552, "dcb77edb6ce3c8af")),
         ],
         ids=[
             "bw33-tree",
@@ -113,8 +117,12 @@ class TestSolve:
         ],
     )
     def test_search_tree_pinned(self, sizes, mode, all_solutions, expected):
-        out = solve(build_generalized_wheel(list(sizes)), SolveConfig(mode=mode), all_solutions=all_solutions)
+        model = build_generalized_wheel(list(sizes))
+        out = solve(model, SolveConfig(mode=mode), all_solutions=all_solutions)
         assert (out.status, out.stats["nodes"], out.stats["fingerprint"]) == expected
+        # the closed-form verdict is silent or agrees with the search
+        verdict = decide_theorem(model)[VERDICT_KEY[mode]]
+        assert verdict in ("unknown", {"SAT": "yes", "UNSAT": "no"}[out.status])
 
     def test_symmetry_breaking_preserves_status(self, bw33):
         with_sb = solve(bw33, SolveConfig(mode=MODE_TREE, symmetry_breaking=True))
@@ -152,7 +160,7 @@ class TestSolve:
         # and vice versa; each form comes 2k = 10 times (the search breaks
         # colour symmetry only)
         out = solve(build_bumpy_wheel(5, 3), SolveConfig(mode=MODE_TREE), all_solutions=True)
-        assert (out.status, out.stats["nodes"], len(out.solutions)) == ("SAT", 240773, 3200)
+        assert (out.status, out.stats["nodes"], len(out.solutions)) == ("SAT", 386373, 3200)
         forms = {canonical_form(p) for p in enumerate_k3.enumerate_all(5)}
         assert len(forms) == 320
         assert {canonical_form(p) for p in out.solutions} == forms
