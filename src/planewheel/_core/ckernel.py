@@ -28,7 +28,7 @@ _ARGTYPES = (
     [_INT] * 3  # num_vertices, m, n_edges
     + [_INTS, _INTS, _WORDS, _INTS]  # ea, eb, cross, order
     + [_INT, _INTS, _INT]  # pre_count, pre_colors, mode
-    + [ctypes.c_longlong, ctypes.c_double, _INT, _INT, _LEAF]  # limits, symmetry, collect_all, on_leaf
+    + [ctypes.c_longlong, ctypes.c_double, _INT, _LEAF]  # limits, collect_all, on_leaf
     + [_INTS, ctypes.POINTER(ctypes.c_longlong), _INTS]  # witness, nodes, max_depth
     + [ctypes.POINTER(ctypes.c_uint64), ctypes.POINTER(ctypes.c_double)]  # fingerprint, elapsed
 )
@@ -58,8 +58,7 @@ def load(path):
     fn.argtypes = _ARGTYPES
     fn.restype = ctypes.c_int
 
-    def search(num_vertices, m, ea, eb, cross, order, pre_colors, mode, node_limit, time_limit,
-               symmetry_breaking, collect_all):
+    def search(num_vertices, m, ea, eb, cross, order, pre_colors, mode, node_limit, time_limit, collect_all):
         n = len(ea)
         if not (
             len(eb) == len(order) == len(cross) == n
@@ -78,7 +77,7 @@ def load(path):
         code = fn(
             num_vertices, m, n, _ints(ea), _ints(eb), cross_words,
             _ints(order), len(pre_colors), _ints(pre_colors), mode, node_limit or 0, time_limit or 0.0,
-            symmetry_breaking, collect_all, on_leaf, witness, ctypes.byref(nodes), ctypes.byref(max_depth),
+            collect_all, on_leaf, witness, ctypes.byref(nodes), ctypes.byref(max_depth),
             ctypes.byref(fingerprint), ctypes.byref(elapsed),
         )
         if code == NO_MEMORY:

@@ -13,6 +13,11 @@
 
    Modes: 0 = plane subgraph colouring, 1 = spanning trees, 2 = double stars.
 
+   Colour symmetry is broken only by pre_colors: a preassigned depth allows its
+   one colour, every other depth all m.  solve() preassigns a pairwise-crossing
+   family of at least m - 1 edges the colours 0, 1, 2, ..., which leaves no two
+   colours interchangeable.
+
    The structural modes test only that each class stays acyclic (and, for
    double stars, the spine rule).  They assume E = m(nv - 1), which solve()
    always passes: m = n colours on 2n points.  Then every leaf is a partition
@@ -32,8 +37,8 @@ enum { PW_UNSAT = 0, PW_SAT = 1, PW_LIMIT = 2, PW_NO_MEMORY = -1 };
 
 #define FNV_OFFSET 0xCBF29CE484222325ULL
 #define FNV_PRIME 0x100000001B3ULL
-/* trail entry per depth: e, c, union_child, union_winner, int_a, int_b, prev_max */
-#define TRAIL 7
+/* trail entry per depth: e, c, union_child, union_winner, int_a, int_b */
+#define TRAIL 6
 
 typedef void (*pw_leaf_fn)(const int *colors);
 
@@ -51,7 +56,6 @@ typedef struct {
     /* double-star mode: per-colour vertex degrees and internal vertices per class */
     int *deg, *u1, *u2;
     int *trail;
-    int max_used;
 } Kernel;
 
 static double now(void) {
@@ -147,9 +151,6 @@ static int try_assign(Kernel *k, int e, int c, int depth) {
             }
         }
     }
-    t[6] = k->max_used;
-    if (c > k->max_used)
-        k->max_used = c;
     return 1;
 }
 
@@ -157,7 +158,6 @@ static void unassign(Kernel *k, int depth) {
     const int *t = k->trail + depth * TRAIL;
     int e = t[0], c = t[1];
     int a = k->ea[e], b = k->eb[e], base = c * k->nv;
-    k->max_used = t[6];
     if (k->structural) {
         if (k->mode == MODE_DOUBLE_STAR) {
             for (int i = 5; i >= 4; i--) { /* int_b, then int_a */
@@ -194,14 +194,14 @@ static void unassign(Kernel *k, int depth) {
 int pw_search(int nv, int m, int n_edges, const int *ea, const int *eb,
               const uint64_t *cross, const int *order, int pre_count,
               const int *pre_colors, int mode, long long node_limit, double time_limit,
-              int symmetry_breaking, int collect_all, pw_leaf_fn on_leaf, int *witness,
+              int collect_all, pw_leaf_fn on_leaf, int *witness,
               long long *nodes_out, int *max_depth_out, uint64_t *fingerprint_out,
               double *elapsed_out) {
     double t0 = now();
     size_t ne = (size_t)n_edges + 1, nm = (size_t)m * (size_t)nv + 1;
     size_t nn = (size_t)nv * (size_t)nv + 1, words = ((size_t)n_edges + 63) / 64;
     Kernel k = {.nv = nv, .m = m, .mode = mode, .structural = mode != MODE_SUBGRAPH,
-                .words = (int)words, .ea = ea, .eb = eb, .cross = cross, .max_used = -1};
+                .words = (int)words, .ea = ea, .eb = eb, .cross = cross};
     k.edge_of = malloc(nn * sizeof(int));
     k.colors = malloc(ne * sizeof(int));
     k.blocked = calloc((size_t)m * words + 1, sizeof(uint64_t));
@@ -249,15 +249,10 @@ int pw_search(int nv, int m, int n_edges, const int *ea, const int *eb,
             status = PW_SAT;
             break;
         }
-        int e = order[depth], lo, hi;
-        if (depth < pre_count) {
+        /* a preassigned depth allows its one colour, every other depth all m */
+        int e = order[depth], lo = 0, hi = m - 1;
+        if (depth < pre_count)
             lo = hi = pre_colors[depth];
-        } else {
-            lo = 0;
-            hi = m - 1;
-            if (symmetry_breaking && k.max_used + 1 < m)
-                hi = k.max_used + 1;
-        }
         int c = choice[depth] + 1;
         if (c < lo)
             c = lo;

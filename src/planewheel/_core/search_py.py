@@ -13,6 +13,12 @@ and fingerprint term from one tuple built per call, and keeps one union-find
 (parent, size) list per colour, plus one degree list per colour in
 double-star mode.
 
+Colour symmetry is broken only by `pre_colors`: a preassigned depth allows its
+one colour, every other depth all m, so each depth's allowed colours are fixed
+for the whole search.  `solve` preassigns a pairwise-crossing family of at
+least m - 1 edges the colours 0, 1, 2, ..., which leaves no two colours
+interchangeable.
+
 The structural modes test only that each class stays acyclic (and, for
 double stars, the spine rule).  They assume E = m(nv - 1), which `solve`
 always passes: m = n colours on 2n points.  Then every leaf is a partition
@@ -51,7 +57,6 @@ def search(
     mode,
     node_limit,
     time_limit,
-    symmetry_breaking,
     collect_all,
 ):
     """Colour the edges (ea[i], eb[i]) with m colours so that no two crossing
@@ -64,7 +69,6 @@ def search(
     "solutions"."""
     n_edges = len(ea)
     t0 = time.monotonic()
-    pre_count = len(pre_colors)  # the first pre_count edges of `order` get pre_colors
 
     # Conflicts, edge-major: edge f owns bits f*s .. f*s+m of `blocked`.  Bit
     # f*s+c is set iff f crosses an edge coloured c; bit f*s+m is a guard that
@@ -83,11 +87,12 @@ def search(
         spread = [x & ~upper | (x & upper) << w * m for x in spread]
     ones = spread.pop()
     guards = ones << m
-    group = (1 << m) - 1
     blocked = 0
     # per depth: the edge branched on, its ends, its conflict-group offset, its
-    # spread row and its fingerprint term less the colour
-    rows = [(e, ea[e], eb[e], e * s, spread[e], e * 1000003 + 1) for e in order]
+    # spread row, its fingerprint term less the colour, and its allowed colours
+    # (its preassigned colour, else all m)
+    allowed = [1 << c for c in pre_colors] + [(1 << m) - 1] * (n_edges - len(pre_colors))
+    rows = [(e, ea[e], eb[e], e * s, spread[e], e * 1000003 + 1, al) for e, al in zip(order, allowed)]
 
     colors = [-1] * n_edges
     # per-colour union-find (no path compression, union by size, rollbackable)
@@ -101,7 +106,6 @@ def search(
     for i in range(n_edges):
         edge_of[ea[i] * num_vertices + eb[i]] = edge_of[eb[i] * num_vertices + ea[i]] = i
 
-    max_used = -1
     nodes = 0
     max_depth = 0
     fingerprint = FNV_OFFSET
@@ -119,13 +123,12 @@ def search(
 
     # trail per depth: the untried candidate colours, and what the commit
     # there changed (union child and winner, and the class's internal
-    # vertices, max_used and `blocked` before it)
+    # vertices and `blocked` before it)
     cands = [0] * n_edges
     t_child = [0] * n_edges
     t_winner = [0] * n_edges
     t_u1 = [-1] * n_edges
     t_u2 = [-1] * n_edges
-    t_max = [0] * n_edges
     t_blocked = [0] * n_edges
 
     depth = 0
@@ -141,22 +144,16 @@ def search(
                 solutions.append(list(colors))
                 cand = 0
             else:
-                e, a, b, es, sp, fe = rows[depth]
-                if depth < pre_count:
-                    lo = hi = pre_colors[depth]
-                else:
-                    lo = 0
-                    hi = (max_used + 1 if max_used + 1 < m else m - 1) if symmetry_breaking else m - 1
-                # colours in lo..hi that no edge crossing e holds
-                cand = ((2 << hi) - (1 << lo)) & ~(blocked >> es & group)
+                e, a, b, es, sp, fe, al = rows[depth]
+                # allowed colours that no edge crossing e holds
+                cand = al ^ blocked >> es & al
         if not cand:
             if depth == 0:
                 break
             # undo the commit at depth - 1 and resume its candidates
             depth -= 1
-            e, a, b, es, sp, fe = rows[depth]
+            e, a, b, es, sp, fe, al = rows[depth]
             c = colors[e]
-            max_used = t_max[depth]
             blocked = t_blocked[depth]
             cand = cands[depth]
             if structural:
@@ -214,7 +211,6 @@ def search(
             continue
         # commit
         cands[depth] = cand
-        t_max[depth] = max_used
         t_blocked[depth] = blocked
         blocked = new_blocked
         colors[e] = c
@@ -241,8 +237,6 @@ def search(
                         u1[c] = b
                     else:
                         u2[c] = b
-        if c > max_used:
-            max_used = c
         nodes += 1
         depth += 1
         if depth > max_depth:

@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-lp", help="write the edge-coloring ILP in LP format")
     _add_model_flags(p)
     p.add_argument("--m", type=int, help="number of color classes (default n)")
-    p.add_argument("--enforce-class-size", action="store_true")
+    p.add_argument("--enforce-class-size", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--enforce-triangle", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_export_lp)

@@ -37,12 +37,11 @@ def closer_than(model: WheelModel, e: EdgeId, f: EdgeId) -> bool:
     """e <_c f: the segment e lies in the closed far side of f.  Each endpoint
     of e is either strictly inside f's far arc or coincides with an endpoint
     of f (the closed halfplane is convex)."""
-    if e[0] == 0 or f[0] == 0:
-        raise ValueError("closer-than is defined for non-radial edges only")
+    t = wheel_tables(model)
+    e = t.key(e, "closer-than is defined for non-radial edges only")
+    f = t.key(f, "closer-than is defined for non-radial edges only")
     if e == f:
         return False
-    t = wheel_tables(model)
-    f = t.key(f, "radial edge")
     # the closed far side of f runs clockwise from its arc start s to s + dist
     s = t.arc_endpoints[f][0]
     d = t.dist[f]

@@ -74,6 +74,10 @@ def solve(
     all_solutions: bool = False,
     preassigned: Optional[list[tuple[EdgeId, int]]] = None,
 ) -> SolveOutcome:
+    """`preassigned` fixes (edge, colour) pairs, branched on first.  Without it,
+    `cfg.symmetry_breaking` preassigns the first m edges of `max_crossing_family`
+    the colours 0, 1, 2, ... (the kernel's one colour-symmetry break); with it,
+    the flag has no effect."""
     m = model.n
     cg = crossing_graph(model)
     edges = cg.edges
@@ -111,7 +115,6 @@ def solve(
         _MODE_IDS[cfg.mode],
         cfg.node_limit,
         cfg.time_limit,
-        cfg.symmetry_breaking,
         all_solutions,
     )
 

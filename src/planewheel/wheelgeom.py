@@ -565,33 +565,25 @@ def canonicalize(ps: PointSet) -> WheelModel:
         raise ValueError("even group count; opposite-edge predicate bug")
     model = WheelModel(k=len(sizes), sizes=tuple(sizes))
 
+    # hull vertex order[t] is model vertex t + 1
+    relabel = [0] * len(ps)
+    for t, v in enumerate(order):
+        relabel[v] = t + 1
+    tables = wheel_tables(model)
+    kk = model.k
+
     # split property: each vertex's opposite edge leaves equally many groups
     # on both sides
-    group_of_point = {}
-    g = 1
-    cnt = 0
-    for v in order:
-        group_of_point[v] = g
-        cnt += 1
-        if cnt == sizes[g - 1]:
-            g += 1
-            cnt = 0
-    kk = model.k
-    pos_in_order = {v: t for t, v in enumerate(order)}
     for v in hull:
         u, w = opp[v]
-        gu, gw = group_of_point[u], group_of_point[w]
-        # clockwise order: earlier hull position comes first within the pair
-        if (pos_in_order[w] - pos_in_order[u]) % m != 1:
-            gu, gw = gw, gu
-        gv = group_of_point[v]
+        # clockwise order: the earlier model vertex comes first within the pair
+        if (relabel[w] - relabel[u]) % m != 1:
+            u, w = w, u
+        gu, gv, gw = (tables.group_of[relabel[x]] for x in (u, v, w))
         if (gu - gv) % kk != (gv - gw) % kk:
             raise ValueError("opposite edge does not split groups evenly; predicate bug")
 
     # crossing structure must be preserved under the order-preserving map
-    relabel = [0] * len(ps)
-    for t, v in enumerate(order):
-        relabel[v] = t + 1
-    if not _crossings_match(wheel_tables(model), geometric_crossing_pairs(ps), relabel):
+    if not _crossings_match(tables, geometric_crossing_pairs(ps), relabel):
         raise ValueError("crossing structure changed under canonicalization; predicate bug")
     return model

@@ -74,24 +74,27 @@ def test_import_leaves_ctypes_unloaded():
 
 def test_compiled_interface(compiled_search):
     assert inspect.signature(compiled_search) == inspect.signature(search_py.search)
-    assert len(inspect.signature(compiled_search).parameters) == 12
+    assert len(inspect.signature(compiled_search).parameters) == 11
     # bad input is refused before any pointer reaches C: one edge (0, 5) on 2
-    # vertices, a crossing row with bit E set, and a negative row
+    # vertices, a crossing row with bit E set, a negative row, and a
+    # preassigned colour outside 0..m-1
     with pytest.raises(ValueError):
-        compiled_search(2, 1, [0], [5], [0], [0], [], 0, 0, 0.0, True, False)
+        compiled_search(2, 1, [0], [5], [0], [0], [0], 0, 0, 0.0, False)
     with pytest.raises(ValueError):
-        compiled_search(3, 1, [0, 1], [1, 2], [0, 1 << 2], [0, 1], [], 0, 0, 0.0, True, False)
+        compiled_search(3, 1, [0, 1], [1, 2], [0, 1 << 2], [0, 1], [0], 0, 0, 0.0, False)
     with pytest.raises(ValueError):
-        compiled_search(3, 1, [0, 1], [1, 2], [-1, 0], [0, 1], [], 0, 0, 0.0, True, False)
-    assert compiled_search(3, 1, [0, 1], [1, 2], [0, 0], [0, 1], [], 0, 0, 0.0, True, False)["status"] == "SAT"
+        compiled_search(3, 1, [0, 1], [1, 2], [-1, 0], [0, 1], [0], 0, 0, 0.0, False)
+    with pytest.raises(ValueError):
+        compiled_search(3, 1, [0, 1], [1, 2], [0, 0], [0, 1], [1], 0, 0, 0.0, False)
+    assert compiled_search(3, 1, [0, 1], [1, 2], [0, 0], [0, 1], [0], 0, 0, 0.0, False)["status"] == "SAT"
 
 
 def test_missing_spine_refused(compiled_search):
     """Two internal vertices of one double-star class with no edge between
     them have no spine.  Paths 0-1-2 and 3-4-5 in one colour: the last edge
     makes 4 internal next to 1, and both kernels refuse it."""
-    args = (6, 1, [0, 1, 3, 4], [1, 2, 4, 5], [0] * 4, [0, 1, 2, 3], [], search_py.MODE_DOUBLE_STAR,
-            0, 0.0, True, False)
+    args = (6, 1, [0, 1, 3, 4], [1, 2, 4, 5], [0] * 4, [0, 1, 2, 3], [0], search_py.MODE_DOUBLE_STAR,
+            0, 0.0, False)
     ref, out = search_py.search(*args), compiled_search(*args)
     assert ref["status"] == out["status"] == "UNSAT"
     assert ref["nodes"] == out["nodes"] == 3
@@ -100,16 +103,19 @@ def test_missing_spine_refused(compiled_search):
 
 @pytest.mark.parametrize("m,status,nodes", [(1, "UNSAT", 0), (2, "UNSAT", 1), (3, "SAT", 3)])
 def test_guard_carry_refuses(compiled_search, m, status, nodes):
-    """Three pairwise-crossing diagonals of a hexagon in subgraph mode.  The
-    last colour that fills an edge's group of m conflict bits carries into
-    its guard bit in search_py: with m = 2, colouring the second edge blocks
-    the third in the top colour; with m = 1 the first edge already does."""
-    args = (6, m, [0, 1, 2], [3, 4, 5], [0b110, 0b101, 0b011], [0, 1, 2], [], search_py.MODE_SUBGRAPH,
-            0, 0.0, True, False)
+    """Three pairwise-crossing diagonals of a hexagon in subgraph mode, the
+    first fixed to colour 0.  The last colour that fills an edge's group of m
+    conflict bits carries into its guard bit in search_py: with m = 2,
+    colouring the second edge blocks the third in the top colour; with m = 1
+    the first edge already does."""
+    args = (6, m, [0, 1, 2], [3, 4, 5], [0b110, 0b101, 0b011], [0, 1, 2], [0], search_py.MODE_SUBGRAPH,
+            0, 0.0, False)
     ref, out = search_py.search(*args), compiled_search(*args)
     assert ref["status"] == out["status"] == status
     assert ref["nodes"] == out["nodes"] == nodes
     assert ref["fingerprint"] == out["fingerprint"]
+    if m == 2:
+        assert ref["fingerprint"] == 0xAF63BC4C8601B62C
 
 
 @pytest.mark.parametrize("mode", [search_py.MODE_TREE, search_py.MODE_DOUBLE_STAR])
@@ -118,13 +124,14 @@ def test_two_spanning_trees_of_k4(compiled_search, mode, breaking, count):
     """K4 with m = 2 and no crossings has E = 6 = m(nv - 1), so every leaf is a
     partition into two spanning trees.  A star's complement is a triangle, so
     these are the 12 Hamiltonian paths, each paired with its complement path;
-    paths are double stars too.  Colour symmetry breaking keeps one of each
-    pair of colour-swapped colourings."""
+    paths are double stars too.  Fixing the first edge to colour 0 breaks the
+    colour symmetry: it keeps one of each pair of colour-swapped colourings."""
     ea, eb = [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]
-    args = (4, 2, ea, eb, [0] * 6, list(range(6)), [], mode, 0, 0.0, breaking, True)
+    pre_colors = [0] if breaking else []
+    args = (4, 2, ea, eb, [0] * 6, list(range(6)), pre_colors, mode, 0, 0.0, True)
     ref, out = search_py.search(*args), compiled_search(*args)
     assert ref["status"] == out["status"] == "SAT"
-    assert ref["nodes"] == out["nodes"]
+    assert ref["nodes"] == out["nodes"] == (27 if breaking else 54)
     assert ref["fingerprint"] == out["fingerprint"]
     assert ref["solutions"] == out["solutions"]
     assert len(ref["solutions"]) == count
@@ -165,6 +172,23 @@ def test_backends_agree_preassigned(compiled_search, sizes, spine, status):
     ref = run_with(search_py.search, model, MODE_DOUBLE_STAR, preassigned=pre)
     assert_same(ref, run_with(compiled_search, model, MODE_DOUBLE_STAR, preassigned=pre))
     assert ref.status == status and ref.stats["preassigned"] == model.n
+
+
+@pytest.mark.parametrize("all_solutions,nodes,count", [(False, 129, 1), (True, 216437, 2880)])
+def test_backends_agree_partial_preassignment(compiled_search, all_solutions, nodes, count):
+    """One edge of BW_{3,3} pinned to colour 2 with symmetry breaking on: the
+    caller's preassignment replaces the crossing family, so the four other
+    colours stay interchangeable and every depth past the first allows all 5."""
+    model = build_bumpy_wheel(3, 3)
+    pre = [((1, 6), 2)]
+    ref = run_with(search_py.search, model, MODE_TREE, preassigned=pre, all_solutions=all_solutions)
+    out = run_with(compiled_search, model, MODE_TREE, preassigned=pre, all_solutions=all_solutions)
+    assert_same(ref, out)
+    assert ref.status == "SAT" and ref.stats["nodes"] == nodes
+    found = ref.solutions if all_solutions else [ref.witness]
+    assert len(found) == count and all(p.color[(1, 6)] == 2 for p in found)
+    if all_solutions:
+        assert [p.color for p in ref.solutions] == [p.color for p in out.solutions]
 
 
 def test_backends_agree_all_solutions(compiled_search):

@@ -237,6 +237,13 @@ def test_export_lp(tmp_path):
     assert text.rstrip().endswith("End")
 
 
+@pytest.mark.parametrize("flags,kwargs", [([], {}), (["--no-enforce-class-size"], {"enforce_class_size": False})])
+def test_export_lp_matches_solver(tmp_path, flags, kwargs):
+    out = tmp_path / "model.lp"
+    assert run(["export-lp", "--bw", "3", "5", "--m", "8", *flags, "-o", str(out)]) == 0
+    assert out.read_text() == solver.export_lp(wheelgeom.build_bumpy_wheel(3, 5), 8, **kwargs)
+
+
 def test_render(tmp_path, capsys):
     parts = tmp_path / "parts.json"
     run(["enumerate", "--k", "3", "--emit", "json", "-o", str(parts)])

@@ -61,6 +61,14 @@ class TestCloserThan:
 
     def test_irreflexive(self, bw33):
         assert not eo.closer_than(bw33, (4, 9), (4, 9))
+        # the same edge in the other orientation
+        assert not eo.closer_than(bw33, (5, 1), (1, 5))
+
+    @pytest.mark.parametrize("e", [(3, 0), (1, 99)])
+    def test_non_diagonal_refused(self, bw33, e):
+        # a radial edge given as (v, 0), and an edge off the hull
+        with pytest.raises(ValueError):
+            eo.closer_than(bw33, e, (4, 9))
 
     def test_maximal_edges(self, bw33):
         es = [(4, 9), (4, 8), (5, 8), (5, 6)]
