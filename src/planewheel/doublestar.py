@@ -6,7 +6,6 @@ spine matching to a full partition."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
@@ -48,10 +47,11 @@ class Matching:
 @dataclass(frozen=True)
 class BadHalfplane:
     """Closed far side of a non-radial halving edge, as A x + B y <= C with
-    the center vertex strictly violating the inequality."""
+    the center vertex strictly violating the inequality.  (A, B, C) are
+    integers, a positive multiple of the line through the endpoints."""
 
     halving_edge: EdgeId
-    line: tuple[Fraction, Fraction, Fraction]
+    line: tuple[int, int, int]
 
 
 def halving_edges(model: WheelModel) -> tuple[list[EdgeId], list[EdgeId]]:
@@ -79,10 +79,11 @@ def bad_halfplanes(model: WheelModel, ps: Optional[PointSet] = None) -> list[Bad
     ps = ps or realize_coordinates(model)
     out = []
     for h in non_radial:
-        p, q = ps.points[h[0]], ps.points[h[1]]
-        a = q[1] - p[1]
-        b = p[0] - q[0]
-        c = a * p[0] + b * p[1]
+        (xp, yp, wp), (xq, yq, wq) = ps._homog[h[0]], ps._homog[h[1]]
+        # W_p W_q times the line (q_y - p_y) x + (p_x - q_x) y = p_x q_y - p_y q_x
+        a = yq * wp - yp * wq
+        b = xp * wq - xq * wp
+        c = xp * yq - yp * xq
         # center at the origin must violate A x + B y <= C strictly
         if c >= 0:
             a, b, c = -a, -b, -c
@@ -98,9 +99,11 @@ def _pair_empty(l1, l2) -> bool:
         return False
     if a1 * a2 + b1 * b2 > 0:
         return False
-    # antiparallel: (a2,b2) = -t (a1,b1) with t > 0
-    t = -(a2 / a1) if a1 != 0 else -(b2 / b1)
-    return c2 + t * c1 < 0
+    # antiparallel: (a2, b2) = -t (a1, b1) with t = -a2 / a1 > 0, and the pair
+    # is empty iff c2 + t c1 < 0; times a1^2 > 0 (b1 when a1 = 0)
+    if a1 != 0:
+        return (a1 * c2 - a2 * c1) * a1 < 0
+    return (b1 * c2 - b2 * c1) * b1 < 0
 
 
 def _triple_empty(l1, l2, l3) -> bool:

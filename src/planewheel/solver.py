@@ -77,7 +77,12 @@ def solve(
     """`preassigned` fixes (edge, colour) pairs, branched on first.  Without it,
     `cfg.symmetry_breaking` preassigns the first m edges of `max_crossing_family`
     the colours 0, 1, 2, ... (the kernel's one colour-symmetry break); with it,
-    the flag has no effect."""
+    the flag has no effect.
+
+    A partial `preassigned` list breaks colour symmetry only among the colours
+    it names: the free colours stay interchangeable, so `all_solutions` returns
+    every renaming of them.  BW_{3,3} tree with `[((1, 6), 2)]` gives 2,880
+    colourings, 4! renamings of each of 120."""
     m = model.n
     cg = crossing_graph(model)
     edges = cg.edges

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
 
 Point = tuple[Fraction, Fraction]
 EdgeId = tuple[int, int]
@@ -277,19 +276,33 @@ class WheelTables:
         crossings[i] is set iff edges i and j cross.  A radial edge (0, v)
         crosses a non-radial edge iff v lies in its far arc; two non-radial
         edges cross iff their endpoints interleave on the hull."""
-        index, h = self.index, self.hull_count
+        h = self.hull_count
+        # edge (c, d) has index at[c] + d, so radial (0, v) is v - 1
+        at = [c * h - c * (c + 1) // 2 - 1 for c in range(h + 1)]
         rows = [0] * len(self.edges)
-        for e, (start, length) in self.far_arc.items():
-            i = index[e]
-            for step in range(length):
-                j = index[(0, (start + step - 1) % h + 1)]
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        for a, c, b, d in combinations(range(1, h + 1), 4):
-            i = index[(a, b)]
-            j = index[(c, d)]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
+        # (c, d) crosses (a, b) iff a < c < b < d or c < a < d < b.  For fixed
+        # b the first set grows, as a falls, by the run of edges (a, d > b).
+        for b in range(2, h + 1):
+            run, later = (1 << (h - b)) - 1, 0
+            for a in range(b - 1, 0, -1):
+                rows[at[a] + b] = later
+                later |= run << (at[a] + b + 1)
+        # For fixed a the second grows, as b rises, by column[b]: the edges
+        # (c, b) with c < a.
+        column = [0] * (h + 1)
+        full = (1 << h) - 1
+        for a in range(1, h + 1):
+            earlier = 0
+            for b in range(a + 1, h + 1):
+                i = at[a] + b
+                start, length = self.far_arc[a, b]
+                arc = ((1 << length) - 1) << (start - 1)  # radial bits of the far arc, before wrapping
+                rows[i] |= earlier | (arc | arc >> h) & full
+                bit = 1 << i
+                for j in range(start - 1, start - 1 + length):
+                    rows[j % h] |= bit
+                earlier |= column[b]
+                column[b] |= bit
         return tuple(rows)
 
     @cached_property
@@ -353,7 +366,7 @@ def wheel_tables(model: WheelModel) -> WheelTables:
 class CrossingGraph:
     """Symmetric, irreflexive adjacency: which edges properly cross which.
     A view over the model's tables: `edges` and `index` are the tables' own
-    tuple and dict, shared and not to be modified."""
+    tuple and dict."""
 
     def __init__(self, model: WheelModel):
         t = wheel_tables(model)

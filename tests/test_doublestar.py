@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_one_interior_set
+from conftest import compositions, random_one_interior_set
 from planewheel import doublestar as ds
 from planewheel.partition import validate_double_stars
 from planewheel.solver import SolveConfig, solve
@@ -66,6 +66,79 @@ class TestBadHalfplanes:
     def test_regular_wheel_no_bad_halfplanes(self, regular9):
         assert ds.bad_halfplanes(regular9) == []
         assert ds.empty_triple([]) is None
+
+    def test_lines_on_atlas_wheels(self):
+        # each line vanishes at both endpoints, the centre strictly violates
+        # it and the n - 1 far-side points strictly satisfy it
+        lines = 0
+        for sizes in [s for k in (3, 5) for h in range(k, 12, 2) for s in compositions(h, k)]:
+            model = build_generalized_wheel(list(sizes))
+            ps = realize_coordinates(model)
+            for bh in ds.bad_halfplanes(model, ps):
+                a, b, c = bh.line
+                assert all(isinstance(v, int) for v in bh.line)
+
+                def side(v):  # W_v (A x + B y - C) at point v
+                    x, y, w = ps._homog[v]
+                    return a * x + b * y - c * w
+
+                assert side(bh.halving_edge[0]) == side(bh.halving_edge[1]) == 0, sizes
+                assert side(0) > 0, sizes
+                far = model.far_arc(bh.halving_edge)
+                assert len(far) == model.n - 1
+                assert all(side(v) < 0 for v in far), sizes
+                lines += 1
+        assert lines == 1_520
+
+
+# Hand-made integer lines (A, B, C) for A x + B y <= C, with whether the
+# closed halfplanes have an empty intersection.
+PAIRS = [
+    (((0, 1, 1), (0, -1, -2)), True),  # y <= 1, y >= 2: the a1 = 0 branch
+    (((0, 1, 1), (0, -1, 0)), False),  # y <= 1, y >= 0
+    (((0, 2, 2), (0, -1, -1)), False),  # y <= 1, y >= 1: closed, they touch
+    (((1, 1, 1), (-2, -2, -6)), True),  # x + y <= 1, x + y >= 3
+    (((1, 1, 1), (-2, -2, 0)), False),  # x + y <= 1, x + y >= 0
+    (((-3, 1, -1), (3, -1, 2)), False),  # antiparallel with a1 < 0, overlapping
+    (((-3, 1, -3), (3, -1, 2)), True),  # antiparallel with a1 < 0, disjoint
+    (((1, 2, 3), (2, 4, -100)), False),  # same direction: never empty
+    (((0, 1, -5), (0, 3, -1)), False),  # same direction, a1 = 0
+    (((1, 0, 0), (0, 1, 0)), False),  # not parallel
+]
+TRIPLES = [
+    (((1, 0, 0), (0, 1, 0), (-1, -1, -1)), True),  # x <= 0, y <= 0, x + y >= 1
+    (((1, 0, 1), (0, 1, 1), (-1, -1, -1)), False),  # x <= 1, y <= 1, x + y >= 1
+    (((1, 0, 0), (-1, 0, -1), (0, 1, 5)), True),  # an empty pair decides
+    (((1, 0, 0), (0, 1, 0), (1, 1, -5)), False),  # normals in a half-plane
+    (((1, 0, 0), (2, 0, -3), (0, 1, 0)), False),  # two parallel, same side
+]
+
+
+@pytest.mark.parametrize("lines, empty", PAIRS)
+def test_pair_empty_integer_lines(lines, empty):
+    l1, l2 = lines
+    assert ds._pair_empty(l1, l2) == ds._pair_empty(l2, l1) == empty
+    # a pair is empty iff, with any third line, the triple is
+    assert ds._triple_empty(l1, l2, (1, 1, 10**6)) == empty
+
+
+@pytest.mark.parametrize("lines, empty", TRIPLES)
+def test_triple_empty_integer_lines(lines, empty):
+    for order in ((0, 1, 2), (1, 2, 0), (2, 1, 0)):
+        assert ds._triple_empty(*(lines[i] for i in order)) == empty
+
+
+def test_positive_scaling_keeps_every_verdict():
+    factors = (1, 2, 7, 10**12 + 3)
+    for lines, empty in PAIRS:
+        for s1 in factors:
+            for s2 in factors:
+                l1, l2 = (tuple(s * v for v in line) for s, line in zip((s1, s2), lines))
+                assert ds._pair_empty(l1, l2) == empty, (lines, s1, s2)
+    for lines, empty in TRIPLES:
+        for s in [(1, 1, 1), (2, 3, 5), (10**12 + 3, 1, 7), (7, 10**9, 2)]:
+            scaled = [tuple(f * v for v in line) for f, line in zip(s, lines)]
+            assert ds._triple_empty(*scaled) == empty, (lines, s)
 
 
 class TestMatchings:

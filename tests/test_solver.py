@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import wheel_matrix
+from planewheel import doublestar as ds
 from planewheel import enumerate_k3
 from planewheel.partition import (
     MODE_DOUBLE_STAR,
@@ -256,6 +257,7 @@ class TestDecideTheorem:
             status = solve(m, SolveConfig(mode=MODE_DOUBLE_STAR)).status
             assert status in ("SAT", "UNSAT"), sizes
             assert (decide_theorem(m)["double_star"] == "no") == (status == "UNSAT"), sizes
+            assert (ds.empty_triple(ds.bad_halfplanes(m)) is not None) == (status == "UNSAT"), sizes
 
     def test_verdicts_match_solver_on_small_bumpy(self):
         for k, ell in [(3, 1), (3, 3), (5, 1)]:
