@@ -1,5 +1,6 @@
-"""Order machinery on wheel edges: the closer-than partial order, spans and
-apexes, special wedges, and the forced-edge distance template.
+"""Order machinery on wheel edges: diagonal distances, the closer-than
+partial order and its maximal members, spans and apexes, special wedges, and
+distance children.
 
 Everything here is read from the model's `WheelTables`; coordinates are only
 used in tests to validate these rules.
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .wheelgeom import DIAGONAL, EdgeId, WheelModel, edge, is_bumpy, wheel_tables
+from .wheelgeom import DIAGONAL, EdgeId, WheelModel, edge, wheel_tables
 
 
 @dataclass(frozen=True)
@@ -50,10 +51,12 @@ def closer_than(model: WheelModel, e: EdgeId, f: EdgeId) -> bool:
 
 
 def maximal_edges(model: WheelModel, edges: Iterable[EdgeId]) -> set[EdgeId]:
-    """The keys of the non-radial edges no other member is closer than, by
-    `closer_than`'s arc test.  e <_c f puts e's far arc strictly inside f's,
-    so dist(e) < dist(f), and the order is transitive: in decreasing distance,
-    a member is maximal iff it is closer than none of the maximal ones before it."""
+    """The keys of the non-radial edges no other member is closer than.  e is
+    closer than f (e <_c f) when both ends of e lie in f's closed far side,
+    the clockwise run from f's arc start s to s + dist(f).  That puts e's far
+    arc strictly inside f's, so dist(e) < dist(f), and the order is
+    transitive: in decreasing distance, a member is maximal iff it is closer
+    than none of the maximal ones before it."""
     t = wheel_tables(model)
     h = t.hull_count
     dist = t.dist
@@ -134,16 +137,6 @@ def is_special_wedge(model: WheelModel, e: EdgeId, f: EdgeId) -> Optional[frozen
     return None
 
 
-def edges_of_distance(model: WheelModel, d: int) -> list[EdgeId]:
-    """All non-radial edges of distance d, in clockwise circular order keyed
-    by the far-arc start vertex (ties by end vertex)."""
-    t = wheel_tables(model)
-    maxd = max(t.dist.values())
-    if not 1 <= d <= maxd:
-        raise ValueError(f"distance out of range 1..{maxd}: {d}")
-    return sorted((e for e, de in t.dist.items() if de == d), key=t.arc_endpoints.__getitem__)
-
-
 def distance_children(model: WheelModel, e: EdgeId) -> tuple[EdgeId, EdgeId]:
     """The two distance-(d-1) edges inside e's far region sharing an endpoint
     with e: one keeps the arc start, the other keeps the arc end."""
@@ -152,14 +145,3 @@ def distance_children(model: WheelModel, e: EdgeId) -> tuple[EdgeId, EdgeId]:
     if children is None:
         raise ValueError("boundary edges have no children")
     return children
-
-
-def forced_edge_template(model: WheelModel) -> dict[tuple[int, int], list[int]]:
-    """Per opposite pair, the required minimum distances d_1..d_l of the
-    forced diagonal slots.  Bumpy wheels only."""
-    if not is_bumpy(model):
-        raise ValueError("forced-edge template is defined for bumpy wheels only")
-    ell = model.sizes[0]
-    k = model.k
-    slots = [d_value(k, ell, i) for i in range(1, ell + 1)]
-    return {pair: list(slots) for pair in wheel_tables(model).opposite_pairs}

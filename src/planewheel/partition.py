@@ -4,7 +4,9 @@ partitions, and isomorphism via canonical forms."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import edgeorder
 from .wheelgeom import (
@@ -33,9 +35,18 @@ class Partition:
         if self.color.keys() != wheel_tables(self.model).index.keys():
             raise ValueError("color map must cover every edge exactly once")
         colors = self.color.values()
-        if min(colors) < 0 or max(colors) >= self.m:
-            bad = [c for c in colors if not 0 <= c < self.m]
-            raise ValueError(f"color out of range: {bad[0]}")
+        try:
+            # one C pass: deleting the bytes 0..m-1 leaves nothing iff every
+            # colour is an integer in range(m).  bytes() refuses non-integers
+            # and values outside 0..255; those, and any m > 256, fall through
+            # to the per-colour check below
+            if not bytes(colors).translate(None, bytes(range(self.m))):
+                return
+        except (TypeError, ValueError):
+            pass
+        for c in colors:
+            if not _is_color(c, self.m):
+                raise ValueError(f"color must be an int in range({self.m}), got {c!r}")
 
     def classes(self) -> list[list[EdgeId]]:
         out: list[list[EdgeId]] = [[] for _ in range(self.m)]
@@ -58,8 +69,20 @@ class Partition:
         n_edges = nv * (nv - 1) // 2  # checked before model.edges(), which builds the model's tables
         if len(colors) != n_edges:
             raise ValueError(f"expected {n_edges} colors, got {len(colors)}")
-        es = model.edges()
-        return cls(model=model, m=int(obj["m"]), color={e: int(c) for e, c in zip(es, colors)})
+        m = obj["m"]
+        for value in (m, *colors):
+            if type(value) is not int:  # JSON true, 1.5 and "2" are no colours or counts
+                raise ValueError(f"colors and m must be JSON integers, got {value!r}")
+        return cls(model=model, m=m, color=dict(zip(model.edges(), colors)))
+
+
+def _is_color(c, m: int) -> bool:
+    """Whether c is an integer (a list index, as `bytes` takes it) in range(m)."""
+    try:
+        c = operator.index(c)
+    except TypeError:
+        return False
+    return 0 <= c < m
 
 
 @dataclass
@@ -88,23 +111,21 @@ def _class_plane(t: WheelTables, es: list[EdgeId]) -> tuple[bool, list]:
 
 
 def _class_components(num_vertices: int, es: list[EdgeId]) -> tuple[int, set[int]]:
+    """The number of connected components of the class's edges, and the
+    vertices they touch: a union-find with path halving, where every union
+    that joins two components removes one."""
     parent = list(range(num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    touched = set()
+    unions = 0
     for a, b in es:
-        touched.add(a)
-        touched.add(b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    roots = {find(v) for v in touched}
-    return len(roots), touched
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            unions += 1
+    touched = set(chain.from_iterable(es))
+    return len(touched) - unions, touched
 
 
 def validate_plane_partition(p: Partition) -> AuditReport:
@@ -121,12 +142,16 @@ def validate_plane_partition(p: Partition) -> AuditReport:
 
 
 def validate_spanning_trees(p: Partition) -> AuditReport:
+    return _validate_trees(p, p.classes())
+
+
+def _validate_trees(p: Partition, classes: list[list[EdgeId]]) -> AuditReport:
     rep = AuditReport()
     t = wheel_tables(p.model)
     nv = p.model.num_points
     if p.m != p.model.n:
         rep.flag(f"m={p.m} differs from n={p.model.n}")
-    for c, es in enumerate(p.classes()):
+    for c, es in enumerate(classes):
         plane, bad = _class_plane(t, es)
         size_ok = len(es) == nv - 1
         comps, touched = _class_components(nv, es)
@@ -150,8 +175,9 @@ def validate_spanning_trees(p: Partition) -> AuditReport:
 
 
 def validate_double_stars(p: Partition) -> AuditReport:
-    rep = validate_spanning_trees(p)
-    for c, es in enumerate(p.classes()):
+    classes = p.classes()
+    rep = _validate_trees(p, classes)
+    for c, es in enumerate(classes):
         deg: dict[int, int] = {}
         for a, b in es:
             deg[a] = deg.get(a, 0) + 1
@@ -345,22 +371,22 @@ def _audit_forced_edges(rep, model, t, maxd, nv):
 # the colours
 
 
-def _renumber(colors: list[int]) -> bytes:
-    remap: dict[int, int] = {}
-    out = bytearray()
-    for c in colors:
-        if c not in remap:
-            remap[c] = len(remap)
-        out.append(remap[c])
-    return bytes(out)
-
-
 def canonical_form(p: Partition) -> bytes:
+    """The least, over the wheel's symmetries, of the colours in table edge
+    order read through the symmetry's edge image, with the colours renamed
+    0, 1, ... by first appearance."""
     t = wheel_tables(p.model)
-    colors = [p.color[e] for e in t.edges]
+    colors = operator.itemgetter(*t.edges)(p.color)
+    if p.m > 256:  # rename to bytes; a form holds at most 256 distinct colours
+        dense: dict[int, int] = {}
+        colors = [dense.setdefault(c, len(dense)) for c in colors]
+    colors = bytes(colors)
+    used = set(colors)
+    ranks = bytes(range(len(used)))
     best = None
     for image in t.edge_images:
-        cand = _renumber([colors[j] for j in image])
+        cand = bytes(operator.itemgetter(*image)(colors))
+        cand = cand.translate(bytes.maketrans(bytes(sorted(used, key=cand.find)), ranks))
         if best is None or cand < best:
             best = cand
     assert best is not None

@@ -521,18 +521,9 @@ def hull_and_interior(ps: PointSet) -> tuple[list[int], list[int]]:
     return hull[::-1], [i for i in range(len(ps)) if i not in on_hull]
 
 
-def opposite_boundary_edge(ps: PointSet, v: int) -> EdgeId:
-    """The unique boundary edge {u,w} with the interior point strictly inside
-    the triangle (v, u, w)."""
-    hull, interior = hull_and_interior(ps)
-    if len(interior) != 1:
-        raise ValueError(f"expected exactly one interior point, found {len(interior)}")
-    if v == interior[0]:
-        raise ValueError("v must be a hull vertex")
-    return _opposite_boundary_edge(ps, hull, interior[0], v)
-
-
 def _opposite_boundary_edge(ps: PointSet, hull: list[int], v0: int, v: int) -> EdgeId:
+    """The unique boundary edge {u,w} of the hull with the interior point v0
+    strictly inside the triangle (v, u, w), for a hull vertex v."""
     m = len(hull)
     for i in range(m):
         u, w = hull[i], hull[(i + 1) % m]

@@ -210,6 +210,18 @@ def test_wrong_color_count_refused_before_tables(tmp_path, capsys, command):
     assert wheelgeom._build_tables.cache_info().misses == misses
 
 
+@pytest.mark.parametrize("bad", [1.5, "2", True, 7])
+def test_verify_refuses_bad_color(tmp_path, capsys, bad):
+    parts = tmp_path / "parts.json"
+    run(["enumerate", "--k", "3", "--emit", "json", "-o", str(parts)])
+    obj = json.loads(parts.read_text())[0]
+    obj["colors"][0] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert run(["verify", str(path), "--mode", "spanning-tree"]) == 2
+    _one_line_error(capsys, "invalid partition JSON")
+
+
 def test_verify_invalid_partition_fails(tmp_path):
     parts = tmp_path / "parts.json"
     run(["enumerate", "--k", "3", "--emit", "json", "-o", str(parts)])

@@ -149,16 +149,17 @@ class TestGroupsAndRoles:
 
 class TestDistanceStructure:
     def test_edges_of_distance(self, bw33):
-        d1 = eo.edges_of_distance(bw33, 5)
-        assert len(d1) == 3  # one d_1 edge per opposite pair
-        assert set(d1) == {(1, 6), (4, 9), (3, 7)}
+        dist = wheel_tables(bw33).dist
+        # one d_1 edge per opposite pair
+        assert {e for e, d in dist.items() if d == 5} == {(1, 6), (4, 9), (3, 7)}
         # boundary edges: one per hull position
-        assert len(eo.edges_of_distance(bw33, 1)) == 9
+        assert sum(d == 1 for d in dist.values()) == 9
 
     def test_distance_level_sizes(self, bw33):
         # 3k chords at every distance up to d_3 on BW_{k,3}
-        for d in range(1, 4):
-            assert len(eo.edges_of_distance(bw33, d)) == 9
+        dist = wheel_tables(bw33).dist
+        for level in range(1, 4):
+            assert sum(d == level for d in dist.values()) == 9
 
     def test_distance_children(self, bw33):
         left, right = eo.distance_children(bw33, (4, 9))
@@ -174,15 +175,6 @@ class TestDistanceStructure:
             for child in eo.distance_children(bw53, e):
                 assert eo.closer_than(bw53, child, e)
                 assert eo.dist(bw53, child) == eo.dist(bw53, e) - 1
-
-    def test_forced_edge_template(self, bw35):
-        tmpl = eo.forced_edge_template(bw35)
-        assert set(tmpl) == set(wheel_tables(bw35).opposite_pairs)
-        assert all(v == [9, 8, 7, 6, 5] for v in tmpl.values())
-
-    def test_forced_edge_template_rejects_generalized(self, gw_mixed):
-        with pytest.raises(ValueError):
-            eo.forced_edge_template(gw_mixed)
 
 
 # The per-call crossing test, edge classes, vertex roles, span and special

@@ -19,7 +19,7 @@ from planewheel.partition import (
     validate_spanning_trees,
 )
 from planewheel.solver import SolveConfig, solve
-from planewheel.wheelgeom import build_bumpy_wheel, build_generalized_wheel, edge, wheel_tables
+from planewheel.wheelgeom import build_bumpy_wheel, build_generalized_wheel, edge, is_bumpy, wheel_tables
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +44,35 @@ class TestPartitionType:
         colors[(0, 1)] = 7
         with pytest.raises(ValueError):
             Partition(model=bw33, m=5, color=colors)
+
+    @pytest.mark.parametrize("bad", [1.0, "1", None, -1, 5, 256, 2**70])
+    def test_color_must_be_an_int_in_range(self, bw33, bad):
+        # 1.0 used to pass, and classes() and every validator then raised TypeError
+        colors = {e: 0 for e in bw33.edges()}
+        colors[(3, 7)] = bad
+        with pytest.raises(ValueError, match=r"color must be an int in range\(5\)"):
+            Partition(model=bw33, m=5, color=colors)
+
+    def test_colors_from_256_are_checked_one_by_one(self, bw33):
+        # bytes hold colours below 256 only; larger m takes the per-colour check
+        colors = {e: (300 if e[0] == 0 else 0) for e in bw33.edges()}
+        p = Partition(model=bw33, m=301, color=colors)
+        assert [len(es) for es in p.classes()].count(9) == 1
+        assert canonical_form(p) == percall_canonical_form(p)
+        colors[(1, 2)] = 301
+        with pytest.raises(ValueError, match=r"got 301"):
+            Partition(model=bw33, m=301, color=colors)
+
+    @pytest.mark.parametrize("field,bad", [("colors", 1.5), ("colors", "2"), ("colors", True), ("m", "5"), ("m", 5.0)])
+    def test_from_json_refuses_non_integers(self, tree_partition, field, bad):
+        # 1.5 used to be truncated to 1, and "2" and true were read as colours
+        obj = tree_partition.to_json()
+        if field == "colors":
+            obj["colors"][3] = bad
+        else:
+            obj["m"] = bad
+        with pytest.raises(ValueError, match="must be JSON integers"):
+            Partition.from_json(obj)
 
     def test_json_roundtrip(self, tree_partition):
         again = Partition.from_json(tree_partition.to_json())
@@ -81,6 +110,32 @@ class TestValidators:
         colors = {e: (0 if e[0] == 0 else 1 + (e[0] + e[1]) % 4) for e in bw33.edges()}
         p = Partition(model=bw33, m=5, color=colors)
         assert not validate_spanning_trees(p).ok
+
+    def test_split_class_and_oversized_class(self, bw33):
+        # an enumerated partition with (0, 4) moved from class 0 to class 2:
+        # class 0 falls apart into {0, 1, 2, 3} and {4, ..., 9}, class 2 gets 10 edges
+        classes = [
+            [(0, 1), (0, 2), (0, 3), (4, 9), (5, 6), (5, 7), (5, 8), (5, 9)],
+            [(0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5), (1, 7), (7, 8), (7, 9)],
+            [(0, 4), (0, 8), (1, 9), (2, 9), (3, 8), (3, 9), (4, 5), (4, 6), (4, 7), (4, 8)],
+            [(0, 7), (1, 8), (2, 7), (2, 8), (3, 4), (3, 5), (3, 6), (3, 7), (8, 9)],
+            [(0, 9), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (6, 7), (6, 8), (6, 9)],
+        ]
+        p = Partition(model=bw33, m=5, color={e: c for c, es in enumerate(classes) for e in es})
+        rep = validate_spanning_trees(p)
+        tree = {"plane": True, "size_2n_minus_1": True, "connected": True, "spanning": True, "acyclic": True}
+        assert rep.class_flags == [
+            dict(tree, size_2n_minus_1=False, connected=False, acyclic=False),
+            tree,
+            dict(tree, size_2n_minus_1=False, acyclic=False),
+            tree,
+            tree,
+        ]
+        assert rep.violations == [
+            "class 0: 8 edges, expected 9",
+            "class 0: not a spanning connected subgraph",
+            "class 2: 10 edges, expected 9",
+        ]
 
     def test_double_star_validator(self, bw33):
         outcome = solve(bw33, SolveConfig(mode=MODE_TREE))
@@ -216,10 +271,19 @@ def percall_canonical_form(p):
 
 
 def test_symmetries_and_forms_match_percall_computation():
-    for sizes in wheel_matrix(9) + [(1, 2, 3, 2, 1), (3,) * 5]:
+    """The forms agree on every BW_{5,3} partition, on tree witnesses of the
+    wheels with hull at most 9 that are not bumpy (at most two symmetries,
+    colours first seen out of order) and on every BW_{3,3} tree colouring."""
+    witnesses = []
+    for sizes in wheel_matrix(9) + [(3,) * 5]:
         model = build_generalized_wheel(list(sizes))
         assert list(wheel_tables(model).symmetries) == percall_symmetries(model), sizes
+        if not is_bumpy(model):
+            witnesses.append(solve(model, SolveConfig(mode=MODE_TREE)).witness)
+    assert len(witnesses) == 161 and all(witnesses)
     parts = list(enumerate_k3.enumerate_all(5))
     assert len(parts) == 320
-    for p in parts:
+    colourings = solve(build_bumpy_wheel(3, 3), SolveConfig(mode=MODE_TREE), all_solutions=True).solutions
+    assert len(colourings) == 120
+    for p in parts + witnesses + colourings:
         assert canonical_form(p) == percall_canonical_form(p)

@@ -19,11 +19,11 @@ from planewheel.wheelgeom import (
     hull_and_interior,
     in_general_position,
     is_bumpy,
-    opposite_boundary_edge,
     orientation,
     realize_coordinates,
     segments_cross,
     wheel_tables,
+    _opposite_boundary_edge,
     _orient_idx,
     _realization_ok,
 )
@@ -190,7 +190,8 @@ class TestCanonicalize:
     def test_opposite_boundary_edge_triangle(self):
         m = build_generalized_wheel([1, 1, 1])
         ps = realize_coordinates(m)
-        assert opposite_boundary_edge(ps, 1) == (2, 3)
+        hull, interior = hull_and_interior(ps)
+        assert _opposite_boundary_edge(ps, hull, interior[0], 1) == (2, 3)
 
     def test_random_sets_canonicalize(self):
         rng = random.Random(7)
