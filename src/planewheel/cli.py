@@ -139,9 +139,8 @@ def _cmd_solve(args) -> int:
         mode=MODE_FLAGS[args.mode],
         node_limit=args.node_limit,
         time_limit=args.time_limit,
-        symmetry_breaking=not args.no_symmetry_breaking,
     )
-    outcome = solver.solve(model, cfg)
+    outcome = solver.solve(model, cfg, preassigned=[] if args.no_symmetry_breaking else None)
     if outcome.witness is not None:
         rep = partition_mod.VALIDATORS[cfg.mode](outcome.witness)
         if not rep.ok:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .partition import MODE_DOUBLE_STAR, Partition
+from .partition import MODE_DOUBLE_STAR, Partition, _internal_vertices
 from .wheelgeom import (
     EdgeId,
     PointSet,
@@ -269,11 +269,7 @@ def spine_matching_of(p: Partition) -> Matching:
     classes = p.classes()
     cands: list[list[EdgeId]] = []
     for es in classes:
-        deg: dict[int, int] = {}
-        for a, b in es:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        internal = [v for v, d in deg.items() if d >= 2]
+        internal = _internal_vertices(es)
         if len(internal) > 2:
             raise ValueError("class is not a double star")
         if len(internal) == 2:

@@ -174,15 +174,21 @@ def _validate_trees(p: Partition, classes: list[list[EdgeId]]) -> AuditReport:
     return rep
 
 
+def _internal_vertices(es: list[EdgeId]) -> list[int]:
+    """The vertices of degree at least 2 in a class, ascending: a double star
+    has at most two, and two must be joined by the spine."""
+    deg: dict[int, int] = {}
+    for a, b in es:
+        deg[a] = deg.get(a, 0) + 1
+        deg[b] = deg.get(b, 0) + 1
+    return sorted(v for v, d in deg.items() if d >= 2)
+
+
 def validate_double_stars(p: Partition) -> AuditReport:
     classes = p.classes()
     rep = _validate_trees(p, classes)
     for c, es in enumerate(classes):
-        deg: dict[int, int] = {}
-        for a, b in es:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        internal = sorted(v for v, d in deg.items() if d >= 2)
+        internal = _internal_vertices(es)
         ok = len(internal) <= 2
         if len(internal) == 2 and edge(*internal) not in es:
             ok = False

@@ -21,7 +21,6 @@ class SolveConfig:
     mode: str = MODE_TREE
     node_limit: int = 0  # 0 = unlimited
     time_limit: float = 0.0  # seconds, 0 = unlimited
-    symmetry_breaking: bool = True
 
     def __post_init__(self):
         if self.mode not in _MODE_IDS:
@@ -75,9 +74,9 @@ def solve(
     preassigned: Optional[list[tuple[EdgeId, int]]] = None,
 ) -> SolveOutcome:
     """`preassigned` fixes (edge, colour) pairs, branched on first.  Without it,
-    `cfg.symmetry_breaking` preassigns the first m edges of `max_crossing_family`
-    the colours 0, 1, 2, ... (the kernel's one colour-symmetry break); with it,
-    the flag has no effect.
+    the first m edges of `max_crossing_family` get the colours 0, 1, 2, ...
+    (the kernel's one colour-symmetry break); `preassigned=[]` searches with
+    no colour fixed.
 
     A partial `preassigned` list breaks colour symmetry only among the colours
     it names: the free colours stay interchangeable, so `all_solutions` returns
@@ -92,10 +91,9 @@ def solve(
     ea = [e[0] for e in edges]
     eb = [e[1] for e in edges]
 
-    if preassigned is None and cfg.symmetry_breaking:
+    if preassigned is None:
         fam = max_crossing_family(model)[:m]
         preassigned = [(e, c) for c, e in enumerate(fam)]
-    preassigned = preassigned or []
     for e, c in preassigned:
         if e not in index:
             raise ValueError(f"preassigned edge {e} is not an edge (a, b) of the model with a < b")

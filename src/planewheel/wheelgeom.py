@@ -100,7 +100,11 @@ class WheelModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WheelModel":
-        return cls(k=int(obj["k"]), sizes=tuple(int(s) for s in obj["sizes"]))
+        k, sizes = obj["k"], tuple(obj["sizes"])
+        for value in (k, *sizes):
+            if type(value) is not int:  # JSON true, 3.9 and "3" are no counts
+                raise ValueError(f"k and sizes must be JSON integers, got {value!r}")
+        return cls(k=k, sizes=sizes)
 
 
 def build_bumpy_wheel(k: int, ell: int) -> WheelModel:
@@ -215,9 +219,9 @@ class WheelTables:
 
     Non-radial edges are keyed by their normalized pair (a, b), 0 < a < b.
     The far arc of such an edge is the clockwise run of hull vertices
-    strictly between its arc endpoints (s, t): between two groups the far
-    side is the short way around the k-gon, within one group it is the
-    in-group arc.
+    strictly between its arc start s and its arc end t: between two groups
+    the far side is the short way around the k-gon, within one group it is
+    the in-group arc.
     """
 
     def __init__(self, model: WheelModel):
@@ -232,7 +236,6 @@ class WheelTables:
         self.index: dict[EdgeId, int] = {e: i for i, e in enumerate(self.edges)}
         self.kind: dict[EdgeId, str] = {}
         self.far_arc: dict[EdgeId, tuple[int, int]] = {}  # (first vertex, length)
-        self.arc_endpoints: dict[EdgeId, tuple[int, int]] = {}
         self.dist: dict[EdgeId, int] = {}
         # the two distance-(d-1) edges sharing an endpoint with a diagonal:
         # one keeps the arc start, the other keeps the arc end
@@ -247,7 +250,6 @@ class WheelTables:
             d = (t - s) % h
             self.kind[e] = BOUNDARY if d == 1 else DIAGONAL
             self.far_arc[e] = (s % h + 1, d - 1)
-            self.arc_endpoints[e] = (s, t)
             self.dist[e] = d
             if d >= 2:
                 self.children[e] = (edge(s, (t - 2) % h + 1), edge(s % h + 1, t))

@@ -33,8 +33,9 @@ INSTANCES = [
     (build_bumpy_wheel(3, 5), MODE_TREE, {}),
     (build_generalized_wheel([1] * 7), MODE_DOUBLE_STAR, {}),
     (build_generalized_wheel([1, 2, 4]), MODE_TREE, {}),
-    (build_bumpy_wheel(3, 3), MODE_SUBGRAPH, {"symmetry_breaking": False}),
-    (build_bumpy_wheel(3, 3), MODE_DOUBLE_STAR, {"symmetry_breaking": False}),
+    # preassigned=[] fixes no colour: the search without symmetry breaking
+    (build_bumpy_wheel(3, 3), MODE_SUBGRAPH, {"preassigned": []}),
+    (build_bumpy_wheel(3, 3), MODE_DOUBLE_STAR, {"preassigned": []}),
     (build_bumpy_wheel(3, 5), MODE_TREE, {"node_limit": 1000}),
     (build_bumpy_wheel(3, 7), MODE_TREE, {"time_limit": 1e-6}),
     # both limits on: the clock is read at 2^16 nodes and the node limit stops the search one node later
@@ -52,10 +53,15 @@ def compiled_search(tmp_path_factory):
 
 
 def run_with(fn, model, mode, cfg=None, **kwargs):
+    """`solve` on `fn` as the kernel; `cfg` holds `SolveConfig` fields and,
+    under "preassigned", `solve`'s preassigned argument."""
+    cfg = dict(cfg or {})
+    if "preassigned" in cfg:
+        kwargs["preassigned"] = cfg.pop("preassigned")
     orig = core.search
     core.search = fn
     try:
-        return solve(model, SolveConfig(mode=mode, **(cfg or {})), **kwargs)
+        return solve(model, SolveConfig(mode=mode, **cfg), **kwargs)
     finally:
         core.search = orig
 
@@ -203,16 +209,16 @@ def test_backends_agree_all_solutions(compiled_search):
 @pytest.mark.slow
 def test_backends_agree_on_the_atlas(compiled_search):
     """Every generalized wheel with k in {3, 5} and hull at most 11, in all
-    three modes with symmetry breaking on and off, stopped at 5,000 nodes;
-    all solutions on the wheels with at most 28 edges."""
+    three modes with symmetry breaking on and off (`preassigned=[]`), stopped
+    at 5,000 nodes; all solutions on the wheels with at most 28 edges."""
     wheels = [sizes for sizes in wheel_matrix(11) if len(sizes) in (3, 5)]
     assert len(wheels) == 391
     for sizes in wheels:
         model = build_generalized_wheel(list(sizes))
         all_solutions = model.num_points * (model.num_points - 1) // 2 <= 28
         for mode in (MODE_SUBGRAPH, MODE_TREE, MODE_DOUBLE_STAR):
-            for breaking in (True, False):
-                cfg = {"node_limit": 5000, "symmetry_breaking": breaking}
+            for preassigned in (None, []):
+                cfg = {"node_limit": 5000, "preassigned": preassigned}
                 ref, out = (run_with(fn, model, mode, cfg, all_solutions=all_solutions)
                             for fn in (search_py.search, compiled_search))
                 assert_same(ref, out)

@@ -43,8 +43,8 @@ def test_solve_expect_mismatch(tmp_path, capsys):
 def test_solve_refuses_an_invalid_witness(tmp_path, capsys, monkeypatch):
     real = solver.solve
 
-    def with_cycle(model, cfg):
-        out = real(model, cfg)
+    def with_cycle(model, cfg, **kwargs):
+        out = real(model, cfg, **kwargs)
         # a hull edge crosses nothing; moved into class 0, a spanning tree, it closes a cycle
         t = wheelgeom.wheel_tables(model)
         e = next(e for e in t.edges if t.kind[e] == wheelgeom.BOUNDARY and out.witness.color[e] != 0)
@@ -63,6 +63,16 @@ def test_solve_node_limit_exit_code(tmp_path):
     code = run(["solve", "--bw", "3", "5", "--mode", "spanning-tree", "--node-limit", "5", "-o", str(out)])
     assert code == 3
     assert json.loads(out.read_text())["status"] == "LIMIT"
+
+
+def test_solve_no_symmetry_breaking_fixes_no_colour(tmp_path):
+    out = tmp_path / "result.json"
+    assert run(["solve", "--bw", "3", "3", "--no-symmetry-breaking", "-o", str(out)]) == 0
+    stats = json.loads(out.read_text())["stats"]
+    model = wheelgeom.build_bumpy_wheel(3, 3)
+    want = solver.solve(model, solver.SolveConfig(), preassigned=[]).stats
+    assert stats["preassigned"] == want["preassigned"] == 0
+    assert (stats["nodes"], stats["fingerprint"]) == (want["nodes"], want["fingerprint"])
 
 
 def _one_line_error(capsys, needle):
@@ -220,6 +230,22 @@ def test_verify_refuses_bad_color(tmp_path, capsys, bad):
     path.write_text(json.dumps(obj))
     assert run(["verify", str(path), "--mode", "spanning-tree"]) == 2
     _one_line_error(capsys, "invalid partition JSON")
+
+
+@pytest.mark.parametrize("field,bad", [("k", 3.9), ("sizes", 3.9), ("sizes", "3"), ("sizes", True)])
+def test_verify_refuses_non_integer_model(tmp_path, capsys, field, bad):
+    # truncated to an int, a size of 3.9 would pass as BW_{3,3}
+    parts = tmp_path / "parts.json"
+    run(["enumerate", "--k", "3", "--emit", "json", "-o", str(parts)])
+    obj = json.loads(parts.read_text())[0]
+    if field == "k":
+        obj["model"]["k"] = bad
+    else:
+        obj["model"]["sizes"][0] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert run(["verify", str(path), "--mode", "spanning-tree"]) == 2
+    _one_line_error(capsys, "k and sizes must be JSON integers")
 
 
 def test_verify_invalid_partition_fails(tmp_path):

@@ -126,14 +126,21 @@ class TestSolve:
         assert verdict in ("unknown", {"SAT": "yes", "UNSAT": "no"}[out.status])
 
     def test_symmetry_breaking_preserves_status(self, bw33):
-        with_sb = solve(bw33, SolveConfig(mode=MODE_TREE, symmetry_breaking=True))
-        without = solve(bw33, SolveConfig(mode=MODE_TREE, symmetry_breaking=False))
+        # preassigned=[] fixes no colour: the search without symmetry breaking
+        with_sb = solve(bw33, SolveConfig(mode=MODE_TREE))
+        without = solve(bw33, SolveConfig(mode=MODE_TREE), preassigned=[])
         assert with_sb.status == without.status == "SAT"
+        assert (without.stats["preassigned"], without.stats["nodes"], without.stats["fingerprint"]) == (
+            0, 168, "89366e5836d970c5"
+        )
 
     def test_symmetry_breaking_preserves_unsat(self, bw33):
-        with_sb = solve(bw33, SolveConfig(mode=MODE_DOUBLE_STAR, symmetry_breaking=True))
-        without = solve(bw33, SolveConfig(mode=MODE_DOUBLE_STAR, symmetry_breaking=False))
+        with_sb = solve(bw33, SolveConfig(mode=MODE_DOUBLE_STAR))
+        without = solve(bw33, SolveConfig(mode=MODE_DOUBLE_STAR), preassigned=[])
         assert with_sb.status == without.status == "UNSAT"
+        assert (without.stats["preassigned"], without.stats["nodes"], without.stats["fingerprint"]) == (
+            0, 38065, "3e3e6fb1ed6679df"
+        )
 
     def test_stats_present(self, bw33):
         out = solve(bw33, SolveConfig(mode=MODE_TREE))

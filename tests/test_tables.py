@@ -99,7 +99,9 @@ def test_far_arc_dist_and_endpoints():
             assert m.far_arc(e) == arc, (label(m), e)
             assert t.far_arc[e] == (s % m.hull_count + 1, len(arc)), (label(m), e)
             assert eo.dist(m, e) == t.dist[e] == len(arc) + 1, (label(m), e)
-            assert t.arc_endpoints[e] == (s, end), (label(m), e)
+            # the arc ends are the vertices just before and just after the far arc
+            start, length, h = *t.far_arc[e], m.hull_count
+            assert ((start - 2) % h + 1, (start + length - 1) % h + 1) == (s, end), (label(m), e)
 
 
 def test_edge_kinds():

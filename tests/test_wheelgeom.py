@@ -58,6 +58,13 @@ class TestModel:
     def test_json_roundtrip(self, gw_mixed):
         assert WheelModel.from_json(gw_mixed.to_json()) == gw_mixed
 
+    @pytest.mark.parametrize("k,sizes", [(3.9, [3, 3, 3]), ("3", [3, 3, 3]), (3, [3.5, 3, 3]), (3, [3, "3", 3]),
+                                         (3, [3, 3, True])])
+    def test_from_json_refuses_non_integers(self, k, sizes):
+        # int() would truncate 3.9 to 3, "3" to 3 and true to 1
+        with pytest.raises(ValueError, match="must be JSON integers"):
+            WheelModel.from_json({"k": k, "sizes": sizes})
+
     def test_edge_normalization(self):
         assert edge(5, 2) == (2, 5)
         with pytest.raises(ValueError):
