@@ -91,8 +91,8 @@ def _palette(m: int) -> list[str]:
     return out
 
 
-def render_svg(p: Partition, only_class: int | None = None) -> str:
-    ps = realize_coordinates(p.model)
+def render_svg(p: Partition, ps: PointSet, only_class: int | None = None) -> str:
+    """One SVG picture of p drawn on ps, the realization of its model."""
     size = 520
     cx = cy = size / 2
     scale = size * 0.45
@@ -171,10 +171,11 @@ def _cmd_enumerate(args) -> int:
         _write(args.output, json.dumps([p.to_json() for p in parts]))
     else:
         outdir = Path(args.output or ".")
+        ps = realize_coordinates(build_bumpy_wheel(args.k, 3))
         with _writing():
             outdir.mkdir(parents=True, exist_ok=True)
             for i, p in enumerate(parts):
-                (outdir / f"partition_{i:05d}.svg").write_text(render_svg(p))
+                (outdir / f"partition_{i:05d}.svg").write_text(render_svg(p, ps))
         print(f"wrote {len(parts)} SVG files to {outdir}")
     return 0
 
@@ -222,12 +223,13 @@ def _cmd_criteria(args) -> int:
 
 def _cmd_export_lp(args) -> int:
     model = _model_from_args(args)
-    if args.m is not None and args.m < 1:
-        raise CliError(f"--m must be >= 1, got {args.m}", 2)
-    m = args.m if args.m else model.n
-    text = solver.export_lp(
-        model, m, enforce_class_size=args.enforce_class_size, enforce_triangle=args.enforce_triangle
-    )
+    m = model.n if args.m is None else args.m  # --m 0 is refused, not read as the default
+    try:
+        text = solver.export_lp(
+            model, m, enforce_class_size=args.enforce_class_size, enforce_triangle=args.enforce_triangle
+        )
+    except ValueError as exc:
+        raise CliError(f"--m: {exc}", 2)
     _write(args.output, text)
     return 0
 
@@ -235,11 +237,12 @@ def _cmd_export_lp(args) -> int:
 def _cmd_render(args) -> int:
     p = _load_partition(args.partition)
     out = Path(args.output or "partition.svg")
+    ps = realize_coordinates(p.model)
     with _writing():
-        out.write_text(render_svg(p))
+        out.write_text(render_svg(p, ps))
         stem, parent = out.stem, out.parent
         for c in range(p.m):
-            (parent / f"{stem}_class{c}.svg").write_text(render_svg(p, only_class=c))
+            (parent / f"{stem}_class{c}.svg").write_text(render_svg(p, ps, only_class=c))
     print(f"wrote {out} and {p.m} per-class SVGs")
     return 0
 

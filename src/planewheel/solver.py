@@ -145,6 +145,8 @@ def export_lp(model: WheelModel, m: int, enforce_class_size: bool = True, enforc
     """CPLEX-LP encoding of the edge-coloring ILP: every edge gets one color,
     crossing edges differ per color, optional exact class sizes and
     monochromatic-triangle bound.  Output is deterministic byte for byte."""
+    if m < 1:
+        raise ValueError(f"the class count m must be >= 1, got {m}")
     cg = crossing_graph(model)
     edges = cg.edges
     nv = model.num_points

@@ -40,6 +40,8 @@ class WheelModel:
     group_start: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if any(type(v) is not int for v in (self.k, *self.sizes)):  # 3.5 fails only later, True counts as 1
+            raise ValueError(f"k and sizes must be integers, got k={self.k!r}, sizes={self.sizes!r}")
         if self.k < 3 or self.k % 2 == 0:
             raise ValueError(f"group count must be odd and >= 3, got {self.k}")
         if len(self.sizes) != self.k:
@@ -117,7 +119,7 @@ def build_bumpy_wheel(k: int, ell: int) -> WheelModel:
 
 
 def build_generalized_wheel(sizes) -> WheelModel:
-    return WheelModel(k=len(sizes), sizes=tuple(int(s) for s in sizes))
+    return WheelModel(k=len(sizes), sizes=tuple(sizes))
 
 
 def is_bumpy(model: WheelModel) -> bool:
@@ -381,66 +383,66 @@ class CrossingGraph:
         return self._rows[self.index[e]] >> self.index[f] & 1 == 1
 
     def crossing_pairs(self) -> set[tuple[EdgeId, EdgeId]]:
-        es = self.edges
-        pairs = set()
-        for i, row in enumerate(self._rows):
-            later = row >> (i + 1)  # bit j - i - 1: edge j > i crosses edge i
-            while later:
-                low = later & -later
-                pairs.add((es[i], es[i + low.bit_length()]))
-                later ^= low
-        return pairs
+        return _pairs_of_rows(self.edges, self._rows)
 
 
 def crossing_graph(model: WheelModel) -> CrossingGraph:
     return CrossingGraph(model)
 
 
-def geometric_crossing_pairs(ps: PointSet) -> set[tuple[EdgeId, EdgeId]]:
-    """All properly crossing edge pairs of the complete graph on ps (exact),
-    each as (e, f) with e < f.  Each 4-subset a < b < c < d is split into its
+def _pairs_of_rows(edges, rows) -> set[tuple[EdgeId, EdgeId]]:
+    """The crossing pairs (e, f), e < f, of bitset rows over the given edges."""
+    pairs = set()
+    for i, row in enumerate(rows):
+        later = row >> (i + 1)  # bit j - i - 1: edge j > i crosses edge i
+        while later:
+            low = later & -later
+            pairs.add((edges[i], edges[i + low.bit_length()]))
+            later ^= low
+    return pairs
+
+
+def geometric_crossings(ps: PointSet) -> tuple[int, ...]:
+    """The exact crossing graph of the complete graph on ps, one bitset row
+    per edge in lexicographic edge order: the layout of
+    `WheelTables.crossings`.  Each 4-subset a < b < c < d is split into its
     three pairings ab|cd, ac|bd and ad|bc, and each is tested on its own with
     the `segments_cross` predicate, rewritten over the four signs abc, abd,
-    acd and bcd; so the set is the pairwise one even on degenerate input."""
+    acd and bcd; so the rows are the pairwise ones even on degenerate input."""
     table, m = ps._orientations, len(ps.points)
-    out = set()
+    # edge (a, b) has index at[a] + b, as in the tables
+    at = [a * (m - 1) - a * (a + 1) // 2 - 1 for a in range(m)]
+    bit = [1 << i for i in range(m * (m - 1) // 2)]
+    rows = [0] * len(bit)
     for a in range(m):
         for b in range(a + 1, m):
-            ab = (a * m + b) * m
+            ab, iab = (a * m + b) * m, at[a] + b
             for c in range(b + 1, m):
                 abc, ac, bc = table[ab + c], (a * m + c) * m, (b * m + c) * m
+                iac, ibc = at[a] + c, at[b] + c
                 for d in range(c + 1, m):
                     abd, acd, bcd = table[ab + d], table[ac + d], table[bc + d]
                     # entries are 1 + sign, so sign(x) == -sign(y) reads x + y == 2
                     if abc != abd and acd != bcd:
-                        out.add(((a, b), (c, d)))
+                        i = at[c] + d
+                        rows[iab] |= bit[i]
+                        rows[i] |= bit[iab]
                     if abc + acd != 2 and abd + bcd != 2:
-                        out.add(((a, c), (b, d)))
+                        i = at[b] + d
+                        rows[iac] |= bit[i]
+                        rows[i] |= bit[iac]
                     if abd != acd and abc != bcd:
-                        out.add(((a, d), (b, c)))
-    return out
+                        i = at[a] + d
+                        rows[i] |= bit[ibc]
+                        rows[ibc] |= bit[i]
+    return tuple(rows)
 
 
-def _crossings_match(t: WheelTables, pairs: set[tuple[EdgeId, EdgeId]], relabel) -> bool:
-    """True iff the edge pairs, with every vertex v renamed relabel[v] (a
-    bijection), are exactly the crossing pairs of the model with tables t.
-    Every edge pair is decided: pairs inside the crossings plus equal counts
-    leave none out."""
-    rows = t.crossings
-    if 2 * len(pairs) != sum(row.bit_count() for row in rows):
-        return False
-    m = len(relabel)
-    inverse = [0] * m
-    for v, r in enumerate(relabel):
-        inverse[r] = v
-    renamed = [0] * (m * m)  # renamed[a*m + b]: index of edge(relabel[a], relabel[b])
-    for i, (a, b) in enumerate(t.edges):
-        a, b = inverse[a], inverse[b]
-        renamed[a * m + b] = renamed[b * m + a] = i
-    for (a, b), (c, d) in pairs:
-        if not rows[renamed[a * m + b]] >> renamed[c * m + d] & 1:
-            return False
-    return True
+def geometric_crossing_pairs(ps: PointSet) -> set[tuple[EdgeId, EdgeId]]:
+    """All properly crossing edge pairs of the complete graph on ps (exact),
+    each as (e, f) with e < f: the pair view of `geometric_crossings`."""
+    m = len(ps.points)
+    return _pairs_of_rows([(a, b) for a in range(m) for b in range(a + 1, m)], geometric_crossings(ps))
 
 
 def _rational_circle_point(angle: float, scale: int) -> Point:
@@ -460,9 +462,9 @@ REALIZE_MAX_HALVINGS = 64
 def realize_coordinates(model: WheelModel) -> PointSet:
     """Exact rational realization: center at the origin, group j near angle
     -2*pi*(j-1)/k (clockwise numbering), in-group spread delta halved until the
-    realization is in general position, reproduces the combinatorial crossing
-    pairs exactly, and no (k+1)/2 consecutive groups see the center inside
-    their hull."""
+    realization is in general position and its exact crossing rows equal the
+    model's.  That puts the center outside the hull of any (k+1)/2 consecutive
+    groups, as every radial edge into them crosses the chord joining their ends."""
     k = model.k
     delta = math.pi / (4 * k * (max(model.sizes) + 1))
     for _ in range(REALIZE_MAX_HALVINGS):
@@ -482,20 +484,8 @@ def realize_coordinates(model: WheelModel) -> PointSet:
 
 
 def _realization_ok(model: WheelModel, ps: PointSet) -> bool:
-    if len(set(ps._homog)) != len(ps._homog):  # a repeated point; ints hash faster than Fractions
-        return False
-    if not in_general_position(ps):
-        return False
-    # center excluded from the hull of every (k+1)/2 consecutive groups
-    k = model.k
-    for start in range(1, k + 1):
-        window = []
-        for g in range(start, start + (k + 1) // 2):
-            window.extend(model.group_vertices(g))
-        if _inside_convex(ps, 0, window):
-            return False
-    # combinatorial and geometric crossings must agree on every edge pair
-    return _crossings_match(wheel_tables(model), geometric_crossing_pairs(ps), range(len(ps)))
+    """General position, and exact crossings (vertex i at point i) equal to the model's."""
+    return in_general_position(ps) and geometric_crossings(ps) == wheel_tables(model).crossings
 
 
 def _inside_convex(ps: PointSet, i: int, polygon) -> bool:
@@ -572,9 +562,7 @@ def canonicalize(ps: PointSet) -> WheelModel:
     model = WheelModel(k=len(sizes), sizes=tuple(sizes))
 
     # hull vertex order[t] is model vertex t + 1
-    relabel = [0] * len(ps)
-    for t, v in enumerate(order):
-        relabel[v] = t + 1
+    relabel = {v: t for t, v in enumerate(order, 1)}
     tables = wheel_tables(model)
     kk = model.k
 
@@ -590,6 +578,7 @@ def canonicalize(ps: PointSet) -> WheelModel:
             raise ValueError("opposite edge does not split groups evenly; predicate bug")
 
     # crossing structure must be preserved under the order-preserving map
-    if not _crossings_match(tables, geometric_crossing_pairs(ps), relabel):
+    renumbered = PointSet(points=tuple(ps.points[v] for v in [interior[0], *order]), interior_index=0)
+    if not _realization_ok(model, renumbered):
         raise ValueError("crossing structure changed under canonicalization; predicate bug")
     return model

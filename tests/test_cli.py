@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from planewheel import enumerate_k3, solver, wheelgeom
+from planewheel import cli, enumerate_k3, solver, wheelgeom
 from planewheel.cli import run
 
 
@@ -292,6 +292,28 @@ def test_render(tmp_path, capsys):
     assert svg.exists()
     assert len(list(tmp_path.glob("picture_class*.svg"))) == 5
     assert "<svg" in svg.read_text()
+
+
+@pytest.mark.parametrize("command", ["enumerate", "render"])
+def test_svg_output_realizes_the_model_once(tmp_path, monkeypatch, command):
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return wheelgeom.realize_coordinates(model)
+
+    parts = tmp_path / "parts.json"
+    run(["enumerate", "--k", "3", "--emit", "json", "-o", str(parts)])
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(json.loads(parts.read_text())[0]))
+    monkeypatch.setattr(cli, "realize_coordinates", counted)
+    if command == "enumerate":
+        assert run(["enumerate", "--k", "3", "--emit", "svg", "-o", str(tmp_path / "svg")]) == 0
+        assert len(list((tmp_path / "svg").glob("*.svg"))) == 20
+    else:
+        assert run(["render", str(one), "-o", str(tmp_path / "picture.svg")]) == 0
+        assert len(list(tmp_path.glob("picture*.svg"))) == 6
+    assert calls == [wheelgeom.build_bumpy_wheel(3, 3)]
 
 
 def test_render_into_a_missing_directory_rejected(tmp_path, capsys):

@@ -223,6 +223,12 @@ class TestExportLp:
         tri = export_lp(bw33, 5, enforce_triangle=True)
         assert " c4_" in tri
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_rejects_fewer_than_one_class(self, bw33, m):
+        # m = 0 used to write rows like "c1_0_1:  = 1" with no terms
+        with pytest.raises(ValueError, match="must be >= 1"):
+            export_lp(bw33, m)
+
 
 class TestDecideTheorem:
     def test_bumpy_tree_boundary(self):

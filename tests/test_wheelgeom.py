@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -16,6 +17,7 @@ from planewheel.wheelgeom import (
     crossing_graph,
     edge,
     geometric_crossing_pairs,
+    geometric_crossings,
     hull_and_interior,
     in_general_position,
     is_bumpy,
@@ -23,8 +25,10 @@ from planewheel.wheelgeom import (
     realize_coordinates,
     segments_cross,
     wheel_tables,
+    _inside_convex,
     _opposite_boundary_edge,
     _orient_idx,
+    _rational_circle_point,
     _realization_ok,
 )
 
@@ -64,6 +68,16 @@ class TestModel:
         # int() would truncate 3.9 to 3, "3" to 3 and true to 1
         with pytest.raises(ValueError, match="must be JSON integers"):
             WheelModel.from_json({"k": k, "sizes": sizes})
+
+    @pytest.mark.parametrize("k,sizes", [(3, (3.5, 2.5, 3)), (3, (True, 1, 1)), (3.0, (3, 3, 3))])
+    def test_refuses_non_integers(self, k, sizes):
+        # (3.5, 2.5, 3) has an odd total, 9.0, and used to fail only in edges()
+        with pytest.raises(ValueError, match="must be integers"):
+            WheelModel(k=k, sizes=sizes)
+
+    def test_generalized_does_not_truncate(self):
+        with pytest.raises(ValueError, match="must be integers"):
+            build_generalized_wheel([3.9, 3, 3])  # used to give BW_{3,3}
 
     def test_edge_normalization(self):
         assert edge(5, 2) == (2, 5)
@@ -240,6 +254,7 @@ def test_matrix_models_all_realize():
         m = build_generalized_wheel(list(sizes))
         ps = realize_coordinates(m)
         assert set(crossing_graph(m).crossing_pairs()) == geometric_crossing_pairs(ps)
+        assert geometric_crossings(ps) == wheel_tables(m).crossings
 
 
 # The per-call predicates the order type replaced, as they were: a determinant
@@ -311,7 +326,15 @@ class TestOrderType:
     def test_crossing_pairs_match_pairwise_definition(self, order_type_sets):
         grid = collinear_grid()
         for ps in order_type_sets + [grid]:
-            assert geometric_crossing_pairs(ps) == pairwise_crossing_pairs(ps)
+            pairs = pairwise_crossing_pairs(ps)
+            assert geometric_crossing_pairs(ps) == pairs
+            m = len(ps)
+            index = {e: i for i, e in enumerate((a, b) for a in range(m) for b in range(a + 1, m))}
+            rows = [0] * len(index)
+            for e, f in pairs:
+                rows[index[e]] |= 1 << index[f]
+                rows[index[f]] |= 1 << index[e]
+            assert geometric_crossings(ps) == tuple(rows)
         m = len(grid)
         for e, f in combinations([(a, b) for a in range(m) for b in range(a + 1, m)], 2):
             assert segments_cross(e, f, grid) == percall_segments_cross(e, f, grid), (e, f)
@@ -325,3 +348,54 @@ class TestOrderType:
         assert in_general_position(swapped)
         assert geometric_crossing_pairs(swapped) != crossing_graph(bw33).crossing_pairs()
         assert not _realization_ok(bw33, swapped)
+
+
+# The two checks `_realization_ok` made before the crossing rows were compared
+# whole, as they were.  Equal rows imply both (see `realize_coordinates`).
+def reference_window_rejects(model, ps):
+    """The center lies inside the hull of some (k+1)/2 consecutive groups."""
+    k = model.k
+    for start in range(1, k + 1):
+        window = []
+        for g in range(start, start + (k + 1) // 2):
+            window.extend(model.group_vertices(g))
+        if _inside_convex(ps, 0, window):
+            return True
+    return False
+
+
+def reference_repeated_point(ps):
+    return len(set(ps._homog)) != len(ps._homog)
+
+
+def circle_layout(model, spread):
+    """realize_coordinates' point set at `spread` times its first in-group spread."""
+    k = model.k
+    delta = math.pi / (4 * k * (max(model.sizes) + 1)) * spread
+    scale = max(10**6, int(1024 / delta))
+    pts = [(Fraction(0), Fraction(0))]
+    for g in range(1, k + 1):
+        s = model.sizes[g - 1]
+        for r in range(s):
+            pts.append(_rational_circle_point(-2 * math.pi * (g - 1) / k - (r - (s - 1) / 2) * delta, scale))
+    return PointSet(points=tuple(pts), interior_index=0)
+
+
+def test_row_equality_implies_the_deleted_checks():
+    # 630 wheels x 5 spreads; on one x86-64 machine the window loop rejected
+    # 591 sets in general position and 465 sets had a repeated point
+    windows = repeats = 0
+    for sizes in wheel_matrix(11):
+        if len(sizes) not in (3, 5, 7):
+            continue
+        model = build_generalized_wheel(list(sizes))
+        for spread in (64, 16, 4, 1, 0.25):
+            ps = circle_layout(model, spread)
+            repeated, window = reference_repeated_point(ps), reference_window_rejects(model, ps)
+            if repeated:
+                assert not in_general_position(ps), (sizes, spread)
+            if repeated or window:
+                assert not _realization_ok(model, ps), (sizes, spread)
+            repeats += repeated
+            windows += window and in_general_position(ps)
+    assert windows > 100 and repeats > 100  # both references reject something
