@@ -103,8 +103,7 @@ def render_svg(p: Partition, ps: PointSet, only_class: int | None = None) -> str
         f'viewBox="0 0 {size} {size}">',
         f'<circle cx="{cx}" cy="{cy}" r="{scale}" fill="none" stroke="#ddd"/>',
     ]
-    for e in p.model.edges():
-        c = p.color[e]
+    for e, c in zip(p.model.edges(), p.colors):
         if only_class is not None and c != only_class:
             continue
         (x1, y1), (x2, y2) = pts[e[0]], pts[e[1]]

@@ -216,31 +216,37 @@ def extend_full(pp: PartialPartition, choices) -> Partition:
 def _extensions(pp: PartialPartition, sides: list[tuple[int, ...]]) -> Iterator[Partition]:
     """`extend_full` for every bit string with bit i in sides[i], in
     `product` order: a depth-first walk over the levels that computes each
-    level's children once per bit prefix and places them in one shared
-    colour map, removing them again on the way back up."""
+    level's children once per bit prefix and colours them in one shared list
+    indexed by edge (-1 while uncovered), uncolouring them on the way back up."""
     model = pp.model
     tables = wheel_tables(model)
-    covered = dict(pp.covered)
+    index = tables.index
+    col = [-1] * len(tables.edges)
+    for e, c in pp.covered.items():
+        col[index[e]] = c
     d_top = 3 * (model.k - 1) // 2  # d_3, the lowest distance covered so far
 
-    def walk(i: int, parents: list[EdgeId]) -> Iterator[Partition]:
+    def walk(i: int, parents: list[EdgeId], covered: int) -> Iterator[Partition]:
         if i == len(sides):
-            if len(covered) != len(tables.edges):
-                raise ValueError(f"extension left {len(tables.edges) - len(covered)} edges uncovered")
-            yield Partition(model=model, m=model.n, color=dict(covered))
+            if covered != len(col):
+                raise ValueError(f"extension left {len(col) - covered} edges uncovered")
+            yield Partition(model, model.n, tuple(col))
             return
         children = [edgeorder.distance_children(model, e) for e in parents]
+        slots = [(index[a], index[b]) for a, b in children]
+        colours = [col[index[e]] for e in parents]
         for bit in sides[i]:
-            level = [pair[bit] for pair in children]
-            for e, child in zip(parents, level):
-                if child in covered:
-                    raise ValueError(f"extension collision at {child}")
-                covered[child] = covered[e]
-            yield from walk(i + 1, level)
-            for child in level:
-                del covered[child]
+            level = [s[bit] for s in slots]
+            for s, c in zip(level, colours):
+                if col[s] != -1:
+                    raise ValueError(f"extension collision at {tables.edges[s]}")
+                col[s] = c
+            yield from walk(i + 1, [pair[bit] for pair in children], covered + len(level))
+            for s in level:
+                col[s] = -1
 
-    return walk(0, [e for e in covered if e[0] != 0 and tables.dist[e] == d_top])
+    parents = [e for e in pp.covered if e[0] != 0 and tables.dist[e] == d_top]
+    return walk(0, parents, len(pp.covered))
 
 
 def enumerate_all(k: int, case: str = "all") -> Iterator[Partition]:

@@ -5,8 +5,11 @@ partitions, and isomorphism via canonical forms."""
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
+from types import MappingProxyType
 
 from . import edgeorder
 from .wheelgeom import (
@@ -27,14 +30,19 @@ MODE_DOUBLE_STAR = "double_star"
 
 @dataclass(frozen=True)
 class Partition:
+    """An edge colouring of a wheel's complete graph with colours 0..m-1:
+    `colors[i]` is the colour of `wheel_tables(model).edges[i]`."""
+
     model: WheelModel
     m: int
-    color: dict[EdgeId, int]
+    colors: tuple[int, ...]
 
     def __post_init__(self):
-        if self.color.keys() != wheel_tables(self.model).index.keys():
+        if type(self.m) is not int or self.m < 1:  # True, 5.0 and -3 are no class counts
+            raise ValueError(f"m must be an int >= 1, got {self.m!r}")
+        colors = self.colors
+        if type(colors) is not tuple or len(colors) != len(wheel_tables(self.model).edges):
             raise ValueError("color map must cover every edge exactly once")
-        colors = self.color.values()
         try:
             # one C pass: deleting the bytes 0..m-1 leaves nothing iff every
             # colour is an integer in range(m).  bytes() refuses non-integers
@@ -48,32 +56,51 @@ class Partition:
             if not _is_color(c, self.m):
                 raise ValueError(f"color must be an int in range({self.m}), got {c!r}")
 
-    def classes(self) -> list[list[EdgeId]]:
+    @classmethod
+    def from_color_map(cls, model: WheelModel, m: int, color: Mapping[EdgeId, int]) -> "Partition":
+        """The partition colouring each edge (a, b), a < b, as the map says."""
+        t = wheel_tables(model)
+        if color.keys() != t.index.keys():
+            raise ValueError("color map must cover every edge exactly once")
+        return cls(model, m, operator.itemgetter(*t.edges)(color))
+
+    @cached_property
+    def color(self) -> Mapping[EdgeId, int]:
+        """A read-only edge -> colour view of `colors`."""
+        return MappingProxyType(dict(zip(wheel_tables(self.model).edges, self.colors)))
+
+    @cached_property
+    def _classes(self) -> tuple[tuple[EdgeId, ...], ...]:
         out: list[list[EdgeId]] = [[] for _ in range(self.m)]
-        for e in wheel_tables(self.model).edges:
-            out[self.color[e]].append(e)
-        return out
+        for e, c in zip(wheel_tables(self.model).edges, self.colors):
+            out[c].append(e)
+        return tuple(map(tuple, out))
+
+    def classes(self) -> tuple[tuple[EdgeId, ...], ...]:
+        """The edges of each colour, in table edge order; built once, since a
+        partition is frozen."""
+        return self._classes
+
+    def __getstate__(self):
+        # the cached views are rebuilt on demand, and a mappingproxy does not pickle
+        return {"model": self.model, "m": self.m, "colors": self.colors}
 
     def to_json(self) -> dict:
-        return {
-            "model": self.model.to_json(),
-            "m": self.m,
-            "colors": [self.color[e] for e in self.model.edges()],
-        }
+        return {"model": self.model.to_json(), "m": self.m, "colors": list(self.colors)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Partition":
         model = WheelModel.from_json(obj["model"])
         colors = obj["colors"]
         nv = model.num_points
-        n_edges = nv * (nv - 1) // 2  # checked before model.edges(), which builds the model's tables
+        n_edges = nv * (nv - 1) // 2  # checked before the model's tables are built
         if len(colors) != n_edges:
             raise ValueError(f"expected {n_edges} colors, got {len(colors)}")
         m = obj["m"]
         for value in (m, *colors):
             if type(value) is not int:  # JSON true, 1.5 and "2" are no colours or counts
                 raise ValueError(f"colors and m must be JSON integers, got {value!r}")
-        return cls(model=model, m=m, color=dict(zip(model.edges(), colors)))
+        return cls(model=model, m=m, colors=tuple(colors))
 
 
 def _is_color(c, m: int) -> bool:
@@ -98,7 +125,7 @@ class AuditReport:
         self.violations.append(msg)
 
 
-def _class_plane(t: WheelTables, es: list[EdgeId]) -> tuple[bool, list]:
+def _class_plane(t: WheelTables, es: Sequence[EdgeId]) -> tuple[bool, list]:
     """Whether no two edges of the class cross; if two do, the first edge in
     edge order that crosses another, and its lowest-index partner."""
     index = t.index
@@ -110,7 +137,7 @@ def _class_plane(t: WheelTables, es: list[EdgeId]) -> tuple[bool, list]:
     return True, []
 
 
-def _class_components(num_vertices: int, es: list[EdgeId]) -> tuple[int, set[int]]:
+def _class_components(num_vertices: int, es: Sequence[EdgeId]) -> tuple[int, set[int]]:
     """The number of connected components of the class's edges, and the
     vertices they touch: a union-find with path halving, where every union
     that joins two components removes one."""
@@ -142,16 +169,12 @@ def validate_plane_partition(p: Partition) -> AuditReport:
 
 
 def validate_spanning_trees(p: Partition) -> AuditReport:
-    return _validate_trees(p, p.classes())
-
-
-def _validate_trees(p: Partition, classes: list[list[EdgeId]]) -> AuditReport:
     rep = AuditReport()
     t = wheel_tables(p.model)
     nv = p.model.num_points
     if p.m != p.model.n:
         rep.flag(f"m={p.m} differs from n={p.model.n}")
-    for c, es in enumerate(classes):
+    for c, es in enumerate(p.classes()):
         plane, bad = _class_plane(t, es)
         size_ok = len(es) == nv - 1
         comps, touched = _class_components(nv, es)
@@ -174,7 +197,7 @@ def _validate_trees(p: Partition, classes: list[list[EdgeId]]) -> AuditReport:
     return rep
 
 
-def _internal_vertices(es: list[EdgeId]) -> list[int]:
+def _internal_vertices(es: Sequence[EdgeId]) -> list[int]:
     """The vertices of degree at least 2 in a class, ascending: a double star
     has at most two, and two must be joined by the spine."""
     deg: dict[int, int] = {}
@@ -185,9 +208,8 @@ def _internal_vertices(es: list[EdgeId]) -> list[int]:
 
 
 def validate_double_stars(p: Partition) -> AuditReport:
-    classes = p.classes()
-    rep = _validate_trees(p, classes)
-    for c, es in enumerate(classes):
+    rep = validate_spanning_trees(p)
+    for c, es in enumerate(p.classes()):
         internal = _internal_vertices(es)
         ok = len(internal) <= 2
         if len(internal) == 2 and edge(*internal) not in es:
@@ -205,7 +227,7 @@ VALIDATORS = {
 }
 
 
-def _maximal_diagonals(model: WheelModel, t: WheelTables, es: list[EdgeId]) -> set[EdgeId]:
+def _maximal_diagonals(model: WheelModel, t: WheelTables, es: Sequence[EdgeId]) -> set[EdgeId]:
     return edgeorder.maximal_edges(model, [e for e in es if t.kind[e] == DIAGONAL])
 
 
@@ -382,7 +404,7 @@ def canonical_form(p: Partition) -> bytes:
     order read through the symmetry's edge image, with the colours renamed
     0, 1, ... by first appearance."""
     t = wheel_tables(p.model)
-    colors = operator.itemgetter(*t.edges)(p.color)
+    colors = p.colors
     if p.m > 256:  # rename to bytes; a form holds at most 256 distinct colours
         dense: dict[int, int] = {}
         colors = [dense.setdefault(c, len(dense)) for c in colors]

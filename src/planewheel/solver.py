@@ -122,7 +122,7 @@ def solve(
     )
 
     def to_partition(assignment) -> Partition:
-        return Partition(model=model, m=m, color={e: assignment[i] for i, e in enumerate(edges)})
+        return Partition(model=model, m=m, colors=tuple(assignment))
 
     witness = to_partition(res["assignment"]) if res["assignment"] is not None else None
     solutions = None

@@ -1,11 +1,12 @@
+import hashlib
 import json
 import weakref
-from dataclasses import replace
 
 import pytest
 
 from planewheel import cli, enumerate_k3, solver, wheelgeom
 from planewheel.cli import run
+from planewheel.partition import Partition
 
 
 def test_generate_model(capsys):
@@ -48,7 +49,7 @@ def test_solve_refuses_an_invalid_witness(tmp_path, capsys, monkeypatch):
         # a hull edge crosses nothing; moved into class 0, a spanning tree, it closes a cycle
         t = wheelgeom.wheel_tables(model)
         e = next(e for e in t.edges if t.kind[e] == wheelgeom.BOUNDARY and out.witness.color[e] != 0)
-        out.witness = replace(out.witness, color={**out.witness.color, e: 0})
+        out.witness = Partition.from_color_map(model, out.witness.m, {**out.witness.color, e: 0})
         return out
 
     monkeypatch.setattr(solver, "solve", with_cycle)
@@ -157,6 +158,14 @@ def test_enumerate_json(tmp_path):
     assert run(["enumerate", "--k", "3", "--emit", "json", "-o", str(out)]) == 0
     parts = json.loads(out.read_text())
     assert len(parts) == 20
+
+
+def test_enumerate_json_bytes_pinned(capsys):
+    """The 320 BW_{5,3} partitions as JSON, byte for byte: the enumeration
+    order, the colours in table edge order and the JSON layout."""
+    assert run(["enumerate", "--k", "5", "--emit", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "a4310790c0be705d79da93c0a2096a9041e22351290790d04acdf7922d4e0806"
 
 
 def test_enumerate_svg(tmp_path, capsys):

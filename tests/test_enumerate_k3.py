@@ -71,6 +71,18 @@ class TestBaseConstruction:
         with pytest.raises(ValueError):
             ek.extend_full(ext, (0,))
 
+    def test_extension_refuses_a_collision_or_a_gap(self):
+        ext = ek.extend_base(ek.base_partitions(3)[0])
+        # (1, 2) is a boundary edge, placed by the last level
+        taken = ek.PartialPartition(ext.model, ext.classes, ext.stage, ext.case, {**ext.covered, (1, 2): 0})
+        with pytest.raises(ValueError, match=r"extension collision at \(1, 2\)"):
+            ek.extend_full(taken, (0, 0))
+        # a radial edge is no edge's child, so nothing covers it again
+        gap = {e: c for e, c in ext.covered.items() if e != (0, 1)}
+        gap = ek.PartialPartition(ext.model, ext.classes, ext.stage, ext.case, gap)
+        with pytest.raises(ValueError, match="extension left 1 edges uncovered"):
+            ek.extend_full(gap, (0, 0))
+
 
 class TestEnumeration:
     def test_count_k3(self):

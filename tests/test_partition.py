@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -29,39 +30,92 @@ def tree_partition(bw33):
 
 
 def recolor(p: Partition, mapping) -> Partition:
-    return Partition(model=p.model, m=p.m, color={e: mapping[c] for e, c in p.color.items()})
+    return Partition(model=p.model, m=p.m, colors=tuple(mapping[c] for c in p.colors))
+
+
+def with_color(model, e, c) -> tuple:
+    """Colour 0 on every edge but e, which gets c."""
+    colors = [0] * len(model.edges())
+    colors[wheel_tables(model).index[e]] = c
+    return tuple(colors)
+
+
+COVER = "color map must cover every edge exactly once"
 
 
 class TestPartitionType:
     def test_totality_enforced(self, bw33):
         colors = {e: 0 for e in bw33.edges()}
         colors.pop((0, 1))
-        with pytest.raises(ValueError):
-            Partition(model=bw33, m=5, color=colors)
+        with pytest.raises(ValueError, match=COVER):
+            Partition.from_color_map(bw33, 5, colors)
 
     def test_color_range_enforced(self, bw33):
-        colors = {e: 0 for e in bw33.edges()}
-        colors[(0, 1)] = 7
         with pytest.raises(ValueError):
-            Partition(model=bw33, m=5, color=colors)
+            Partition(model=bw33, m=5, colors=with_color(bw33, (0, 1), 7))
 
     @pytest.mark.parametrize("bad", [1.0, "1", None, -1, 5, 256, 2**70])
     def test_color_must_be_an_int_in_range(self, bw33, bad):
         # 1.0 used to pass, and classes() and every validator then raised TypeError
-        colors = {e: 0 for e in bw33.edges()}
-        colors[(3, 7)] = bad
         with pytest.raises(ValueError, match=r"color must be an int in range\(5\)"):
-            Partition(model=bw33, m=5, color=colors)
+            Partition(model=bw33, m=5, colors=with_color(bw33, (3, 7), bad))
 
     def test_colors_from_256_are_checked_one_by_one(self, bw33):
         # bytes hold colours below 256 only; larger m takes the per-colour check
-        colors = {e: (300 if e[0] == 0 else 0) for e in bw33.edges()}
-        p = Partition(model=bw33, m=301, color=colors)
+        colors = [300 if e[0] == 0 else 0 for e in bw33.edges()]
+        p = Partition(model=bw33, m=301, colors=tuple(colors))
         assert [len(es) for es in p.classes()].count(9) == 1
         assert canonical_form(p) == percall_canonical_form(p)
-        colors[(1, 2)] = 301
+        colors[wheel_tables(bw33).index[(1, 2)]] = 301
         with pytest.raises(ValueError, match=r"got 301"):
-            Partition(model=bw33, m=301, color=colors)
+            Partition(model=bw33, m=301, colors=tuple(colors))
+
+    @pytest.mark.parametrize("bad", [5.0, True, -3, 0])
+    def test_class_count_must_be_a_positive_int(self, bw33, bad):
+        # 5.0 used to construct, and classes() and every validator then raised
+        # TypeError; True was read as 1; -3 failed with "range(-3)"
+        with pytest.raises(ValueError, match=rf"m must be an int >= 1, got {bad!r}"):
+            Partition(model=bw33, m=bad, colors=with_color(bw33, (0, 1), 0))
+
+    def test_colors_follow_table_edge_order(self, tree_partition):
+        p = tree_partition
+        edges = wheel_tables(p.model).edges
+        assert type(p.colors) is tuple and len(p.colors) == len(edges)
+        assert p.color == dict(zip(edges, p.colors))
+        assert list(p.color) == list(edges)
+        with pytest.raises(TypeError):
+            p.color[edges[0]] = 1
+
+    def test_colors_must_be_a_tuple_with_one_entry_per_edge(self, tree_partition):
+        p = tree_partition
+        for bad in (list(p.colors), p.colors[:-1], p.colors + (0,)):
+            with pytest.raises(ValueError, match=COVER):
+                Partition(model=p.model, m=p.m, colors=bad)
+
+    def test_from_color_map(self, tree_partition, bw33):
+        p = tree_partition
+        assert Partition.from_color_map(p.model, p.m, p.color) == p
+        missing = dict(p.color)
+        del missing[(3, 7)]
+        extra = {**p.color, (0, 10): 0}
+        swapped = dict(p.color)
+        swapped[(7, 3)] = swapped.pop((3, 7))
+        for bad in (missing, extra, swapped):
+            with pytest.raises(ValueError, match=COVER):
+                Partition.from_color_map(bw33, 5, bad)
+
+    def test_classes_built_once(self, tree_partition):
+        p = tree_partition
+        assert p.classes() is p.classes()
+        assert type(p.classes()) is tuple and all(type(es) is tuple for es in p.classes())
+        edges = p.model.edges()
+        assert [list(es) for es in p.classes()] == [[e for e in edges if p.color[e] == c] for c in range(p.m)]
+
+    def test_pickles_after_cached_views(self, tree_partition):
+        p = tree_partition
+        p.color, p.classes()
+        again = pickle.loads(pickle.dumps(p))
+        assert again == p and again.color == p.color and again.classes() == p.classes()
 
     @pytest.mark.parametrize("field,bad", [("colors", 1.5), ("colors", "2"), ("colors", True), ("m", "5"), ("m", 5.0)])
     def test_from_json_refuses_non_integers(self, tree_partition, field, bad):
@@ -100,15 +154,15 @@ class TestValidators:
         colors[(0, 2)] = 2
         colors[(0, 3)] = 3
         colors[(0, 4)] = 4
-        p = Partition(model=bw33, m=5, color=colors)
+        p = Partition.from_color_map(bw33, 5, colors)
         rep = validate_plane_partition(p)
         assert not rep.ok
         assert "crossing" in rep.violations[0]
 
     def test_star_is_not_valid_tree_class(self, bw33):
         # radial star is plane and spanning but the rest cannot all be trees
-        colors = {e: (0 if e[0] == 0 else 1 + (e[0] + e[1]) % 4) for e in bw33.edges()}
-        p = Partition(model=bw33, m=5, color=colors)
+        colors = tuple(0 if e[0] == 0 else 1 + (e[0] + e[1]) % 4 for e in bw33.edges())
+        p = Partition(model=bw33, m=5, colors=colors)
         assert not validate_spanning_trees(p).ok
 
     def test_split_class_and_oversized_class(self, bw33):
@@ -121,7 +175,7 @@ class TestValidators:
             [(0, 7), (1, 8), (2, 7), (2, 8), (3, 4), (3, 5), (3, 6), (3, 7), (8, 9)],
             [(0, 9), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (6, 7), (6, 8), (6, 9)],
         ]
-        p = Partition(model=bw33, m=5, color={e: c for c, es in enumerate(classes) for e in es})
+        p = Partition.from_color_map(bw33, 5, {e: c for c, es in enumerate(classes) for e in es})
         rep = validate_spanning_trees(p)
         tree = {"plane": True, "size_2n_minus_1": True, "connected": True, "spanning": True, "acyclic": True}
         assert rep.class_flags == [
@@ -165,7 +219,7 @@ class TestAudits:
         e2 = next(e for e in es if p.color[e] == 1 and e[0] != 0)
         colors = dict(p.color)
         colors[e1], colors[e2] = colors[e2], colors[e1]
-        corrupted = Partition(model=p.model, m=p.m, color=colors)
+        corrupted = Partition.from_color_map(p.model, p.m, colors)
         assert not (
             validate_spanning_trees(corrupted).ok
             and structural_audit(corrupted, MODE_TREE).ok
@@ -206,7 +260,7 @@ class TestIsomorphism:
         rotated = Partition(
             model=p.model,
             m=p.m,
-            color={e: p.color[edge(perm[e[0]], perm[e[1]])] for e in p.model.edges()},
+            colors=tuple(p.color[edge(perm[e[0]], perm[e[1]])] for e in p.model.edges()),
         )
         assert isomorphic(p, rotated)
 
@@ -239,7 +293,7 @@ def test_property_canonical_form_invariant(seed):
     q = Partition(
         model=p.model,
         m=p.m,
-        color={e: cmap[p.color[edge(perm[e[0]], perm[e[1]])]] for e in p.model.edges()},
+        colors=tuple(cmap[p.color[edge(perm[e[0]], perm[e[1]])]] for e in p.model.edges()),
     )
     assert canonical_form(p) == canonical_form(q)
 
