@@ -9,7 +9,7 @@ string that starts with it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterator
 
@@ -38,21 +38,16 @@ def _check_k(k: int):
         raise ValueError(f"k must be odd and >= 3, got {k}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PartialPartition:
+    """Some of the edges coloured, in the layout of `Partition.colors`:
+    `colors[i]` is the colour of `wheel_tables(model).edges[i]`, -1 while
+    uncovered."""
+
     model: WheelModel
-    classes: list[set[EdgeId]]
+    colors: tuple[int, ...]
     stage: str
     case: str
-    covered: dict[EdgeId, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.covered:
-            for i, es in enumerate(self.classes):
-                for e in es:
-                    if e in self.covered:
-                        raise ValueError(f"edge {e} in two classes")
-                    self.covered[e] = i
 
 
 class _Labels:
@@ -161,7 +156,14 @@ def _build_base(model: WheelModel, lb: _Labels, case: str, bits: tuple[int, ...]
         classes.append(apex_l[g])
     classes.append(tlast)
 
-    return PartialPartition(model=model, classes=classes, stage=STAGE_BASE, case=case)
+    index = wheel_tables(model).index
+    colors = [-1] * len(index)
+    for c, es in enumerate(classes):
+        for e in es:
+            if colors[index[e]] != -1:
+                raise ValueError(f"edge {e} in two classes")
+            colors[index[e]] = c
+    return PartialPartition(model=model, colors=tuple(colors), stage=STAGE_BASE, case=case)
 
 
 def extend_base(pp: PartialPartition) -> PartialPartition:
@@ -173,28 +175,20 @@ def extend_base(pp: PartialPartition) -> PartialPartition:
         raise ValueError(f"expected stage {STAGE_BASE!r}, got {pp.stage!r}")
     k = pp.model.k
     lb = _Labels(k)
-    classes = [set(es) for es in pp.classes]
-    covered = dict(pp.covered)
+    index = wheel_tables(pp.model).index
+    colors = list(pp.colors)
     for i in range(1, k + 1):
         for t in (2, 3):
-            level = lb.pair_edges(i, t)
-            already = [a for a, e in enumerate(level) if e in covered]
+            level = [index[e] for e in lb.pair_edges(i, t)]
+            already = [a for a, s in enumerate(level) if colors[s] != -1]
             if len(already) != 1:
                 raise ValueError(f"pair {i} level {t}: expected one covered edge, got {already}")
             a_star = already[0]
             parents = lb.pair_edges(i, t - 1)
             for a, f in enumerate(parents):
                 child = level[a] if a < a_star else level[a + 1]
-                cls = covered[f]
-                classes[cls].add(child)
-                covered[child] = cls
-    return PartialPartition(
-        model=pp.model,
-        classes=classes,
-        stage=STAGE_BASE_EXTENDED,
-        case=pp.case,
-        covered=covered,
-    )
+                colors[child] = colors[index[f]]
+    return replace(pp, colors=tuple(colors), stage=STAGE_BASE_EXTENDED)
 
 
 def choice_length(k: int) -> int:
@@ -221,10 +215,8 @@ def _extensions(pp: PartialPartition, sides: list[tuple[int, ...]]) -> Iterator[
     model = pp.model
     tables = wheel_tables(model)
     index = tables.index
-    col = [-1] * len(tables.edges)
-    for e, c in pp.covered.items():
-        col[index[e]] = c
-    d_top = 3 * (model.k - 1) // 2  # d_3, the lowest distance covered so far
+    col = list(pp.colors)
+    d_top = edgeorder.d_value(model.k, 3, 3)  # the lowest distance covered so far
 
     def walk(i: int, parents: list[EdgeId], covered: int) -> Iterator[Partition]:
         if i == len(sides):
@@ -245,8 +237,8 @@ def _extensions(pp: PartialPartition, sides: list[tuple[int, ...]]) -> Iterator[
             for s in level:
                 col[s] = -1
 
-    parents = [e for e in pp.covered if e[0] != 0 and tables.dist[e] == d_top]
-    return walk(0, parents, len(pp.covered))
+    parents = [e for e, c in zip(tables.edges, col) if c != -1 and tables.dist.get(e) == d_top]
+    return walk(0, parents, len(col) - col.count(-1))
 
 
 def enumerate_all(k: int, case: str = "all") -> Iterator[Partition]:

@@ -12,16 +12,7 @@ from itertools import chain
 from types import MappingProxyType
 
 from . import edgeorder
-from .wheelgeom import (
-    BOUNDARY,
-    DIAGONAL,
-    EdgeId,
-    WheelModel,
-    WheelTables,
-    edge,
-    is_bumpy,
-    wheel_tables,
-)
+from .wheelgeom import EdgeId, WheelModel, WheelTables, edge, is_bumpy, wheel_tables
 
 MODE_SUBGRAPH = "subgraph"
 MODE_TREE = "spanning_tree"
@@ -100,6 +91,8 @@ class Partition:
         for value in (m, *colors):
             if type(value) is not int:  # JSON true, 1.5 and "2" are no colours or counts
                 raise ValueError(f"colors and m must be JSON integers, got {value!r}")
+        if m > n_edges:  # classes beyond the edge count stay empty, yet every validator builds and reports them
+            raise ValueError(f"m must be at most the edge count {n_edges}, got {m}")
         return cls(model=model, m=m, colors=tuple(colors))
 
 
@@ -228,7 +221,7 @@ VALIDATORS = {
 
 
 def _maximal_diagonals(model: WheelModel, t: WheelTables, es: Sequence[EdgeId]) -> set[EdgeId]:
-    return edgeorder.maximal_edges(model, [e for e in es if t.kind[e] == DIAGONAL])
+    return edgeorder.maximal_edges(model, [e for e in es if e in t.children])
 
 
 def _pair_of_edge(t: WheelTables, e: EdgeId) -> tuple[int, int] | None:
@@ -265,7 +258,7 @@ def structural_audit(p: Partition, mode: str) -> AuditReport:
 
 def _audit_boundary_counts(rep, t, classes, maxd):
     # one class holds a single boundary edge, the n-1 others two each
-    counts = [sum(1 for e in es if t.kind[e] == BOUNDARY) for es in classes]
+    counts = [sum(1 for e in es if t.dist.get(e) == 1) for es in classes]
     if sorted(counts) != [1] + [2] * (len(classes) - 1):
         rep.flag(f"boundary-edge counts per class {counts} != one 1 and rest 2")
     # the same class must hold a single maximal diagonal, all others two

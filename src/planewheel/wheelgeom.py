@@ -15,12 +15,6 @@ from functools import cached_property, lru_cache
 Point = tuple[Fraction, Fraction]
 EdgeId = tuple[int, int]
 
-# edge kinds: radial edges meet the center; boundary edges join hull
-# neighbours; diagonals are every other non-radial edge
-RADIAL = "radial"
-BOUNDARY = "boundary"
-DIAGONAL = "diagonal"
-
 
 def edge(a: int, b: int) -> EdgeId:
     """Normalized unordered vertex pair."""
@@ -36,8 +30,6 @@ class WheelModel:
 
     k: int
     sizes: tuple[int, ...]
-    # group_start[g] = first hull vertex id of group g (1-indexed groups)
-    group_start: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if any(type(v) is not int for v in (self.k, *self.sizes)):  # 3.5 fails only later, True counts as 1
@@ -50,12 +42,6 @@ class WheelModel:
             raise ValueError("every group size must be >= 1")
         if sum(self.sizes) % 2 == 0:
             raise ValueError("total hull count must be odd")
-        starts = []
-        v = 1
-        for s in self.sizes:
-            starts.append(v)
-            v += s
-        object.__setattr__(self, "group_start", tuple(starts))
 
     @property
     def hull_count(self) -> int:
@@ -77,9 +63,9 @@ class WheelModel:
         return t.group_of[v]
 
     def group_vertices(self, g: int) -> range:
-        g = (g - 1) % self.k + 1
-        s = self.group_start[g - 1]
-        return range(s, s + self.sizes[g - 1])
+        g = (g - 1) % self.k
+        s = 1 + sum(self.sizes[:g])
+        return range(s, s + self.sizes[g])
 
     def edges(self) -> list[EdgeId]:
         """All edges of the complete graph, in lexicographic order."""
@@ -224,6 +210,10 @@ class WheelTables:
     strictly between its arc start s and its arc end t: between two groups
     the far side is the short way around the k-gon, within one group it is
     the in-group arc.
+
+    `dist` carries each edge's kind: a radial edge (one meeting the center)
+    has no entry, a boundary edge (joining hull neighbours) has distance 1,
+    and the diagonals, distance 2 and up, are exactly the keys of `children`.
     """
 
     def __init__(self, model: WheelModel):
@@ -236,7 +226,6 @@ class WheelTables:
         self.group_of: tuple[int, ...] = tuple(group_of)
         self.edges: tuple[EdgeId, ...] = tuple((a, b) for a in range(h + 1) for b in range(a + 1, h + 1))
         self.index: dict[EdgeId, int] = {e: i for i, e in enumerate(self.edges)}
-        self.kind: dict[EdgeId, str] = {}
         self.far_arc: dict[EdgeId, tuple[int, int]] = {}  # (first vertex, length)
         self.dist: dict[EdgeId, int] = {}
         # the two distance-(d-1) edges sharing an endpoint with a diagonal:
@@ -245,12 +234,10 @@ class WheelTables:
         for e in self.edges:
             a, b = e
             if a == 0:
-                self.kind[e] = RADIAL
                 continue
             ga, gb = group_of[a], group_of[b]
             s, t = (a, b) if ga == gb or (gb - ga) % k <= half else (b, a)
             d = (t - s) % h
-            self.kind[e] = BOUNDARY if d == 1 else DIAGONAL
             self.far_arc[e] = (s % h + 1, d - 1)
             self.dist[e] = d
             if d >= 2:

@@ -48,7 +48,7 @@ def test_solve_refuses_an_invalid_witness(tmp_path, capsys, monkeypatch):
         out = real(model, cfg, **kwargs)
         # a hull edge crosses nothing; moved into class 0, a spanning tree, it closes a cycle
         t = wheelgeom.wheel_tables(model)
-        e = next(e for e in t.edges if t.kind[e] == wheelgeom.BOUNDARY and out.witness.color[e] != 0)
+        e = next(e for e in t.edges if t.dist.get(e) == 1 and out.witness.color[e] != 0)
         out.witness = Partition.from_color_map(model, out.witness.m, {**out.witness.color, e: 0})
         return out
 
@@ -227,6 +227,21 @@ def test_wrong_color_count_refused_before_tables(tmp_path, capsys, command):
     assert run([command, str(bad)]) == 2
     _one_line_error(capsys, "expected 182106 colors, got 1")
     assert wheelgeom._build_tables.cache_info().misses == misses
+
+
+# m = 100000 on BW_{3,3} made verify build and report 100,000 classes; render
+# writes one picture per class, each with an m-colour palette, so it takes m = 46
+@pytest.mark.parametrize("command,m", [("verify", 100_000), ("render", 46)])
+def test_class_count_above_the_edge_count_refused(tmp_path, capsys, command, m):
+    parts = tmp_path / "parts.json"
+    run(["enumerate", "--k", "3", "--emit", "json", "-o", str(parts)])
+    obj = json.loads(parts.read_text())[0]
+    obj["m"] = m
+    path, out = tmp_path / "big_m.json", tmp_path / "out"
+    path.write_text(json.dumps(obj))
+    assert run([command, str(path), "-o", str(out)]) == 2
+    _one_line_error(capsys, f"m must be at most the edge count 45, got {m}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", [1.5, "2", True, 7])

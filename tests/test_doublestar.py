@@ -16,6 +16,9 @@ from planewheel.wheelgeom import (
     segments_cross,
 )
 
+# the 391 generalized wheels with k in {3, 5} and hull size at most 11
+ATLAS = [s for k in (3, 5) for h in range(k, 12, 2) for s in compositions(h, k)]
+
 
 @pytest.fixture(scope="module")
 def regular9():
@@ -71,7 +74,7 @@ class TestBadHalfplanes:
         # each line vanishes at both endpoints, the centre strictly violates
         # it and the n - 1 far-side points strictly satisfy it
         lines = 0
-        for sizes in [s for k in (3, 5) for h in range(k, 12, 2) for s in compositions(h, k)]:
+        for sizes in ATLAS:
             model = build_generalized_wheel(list(sizes))
             ps = realize_coordinates(model)
             for bh in ds.bad_halfplanes(model, ps):
@@ -244,6 +247,24 @@ class TestCriteria:
             expect_unsat = ds.criterion_small_families(model)
             got = solve(model, SolveConfig(mode=MODE_DOUBLE_STAR)).status
             assert (got == "UNSAT") == expect_unsat
+
+    def test_spine_matchings_follow_the_small_families_criterion(self):
+        """On every atlas wheel some hull vertex's potential matching is a
+        spine matching iff the small-families criterion fails, and each such
+        matching completes to a double-star partition with one spine per class."""
+        certified = 0
+        for sizes in ATLAS:
+            model = build_generalized_wheel(list(sizes))
+            ps = realize_coordinates(model)
+            matchings = (ds.potential_matching(model, v) for v in range(1, model.hull_count + 1))
+            spines = [m for m in matchings if ds.is_spine_matching(model, m, ps).ok]
+            assert bool(spines) != ds.criterion_small_families(model), sizes
+            for m in spines:
+                p = ds.complete_double_stars(model, m)
+                assert p is not None and validate_double_stars(p).ok, (sizes, m.pairs)
+                assert len({p.color[e] for e in m.pairs}) == model.n, (sizes, m.pairs)
+            certified += len(spines)
+        assert len(ATLAS) == 391 and certified == 490
 
     def test_tree_nonpartition_criterion(self):
         assert ds.tree_nonpartition_criterion(build_generalized_wheel([5, 7, 5, 7, 5]))

@@ -3,24 +3,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planewheel import edgeorder as eo
-from planewheel.wheelgeom import (
-    BOUNDARY,
-    DIAGONAL,
-    RADIAL,
-    build_bumpy_wheel,
-    build_generalized_wheel,
-    edge,
-    wheel_tables,
-)
+from planewheel.wheelgeom import build_bumpy_wheel, build_generalized_wheel, edge, wheel_tables
 
 
 class TestClassify:
     def test_kinds(self, bw33):
-        kind = wheel_tables(bw33).kind
-        assert kind[(0, 4)] == RADIAL
-        assert kind[(1, 2)] == BOUNDARY
-        assert kind[(1, 9)] == BOUNDARY
-        assert kind[(4, 9)] == DIAGONAL
+        # radial: no distance; boundary: distance 1; diagonal: has children
+        t = wheel_tables(bw33)
+        assert (0, 4) not in t.dist
+        assert t.dist[(1, 2)] == t.dist[(1, 9)] == 1
+        assert (1, 2) not in t.children and (1, 9) not in t.children
+        assert (4, 9) in t.children
 
     def test_dist(self, bw33):
         assert eo.dist(bw33, (1, 2)) == 1
@@ -93,7 +86,7 @@ def test_maximal_edges_matches_pairwise_definition(data, which):
     edges are the members closer than no other member."""
     model = _MAXIMAL_MODELS[which]
     t = wheel_tables(model)
-    diagonals = [e for e in t.edges if t.kind[e] == DIAGONAL]
+    diagonals = list(t.children)
     chosen = data.draw(st.lists(st.sampled_from(diagonals), unique=True, max_size=12))
     es = [e[::-1] if data.draw(st.booleans()) else e for e in chosen]
     want = {e for e in es if not any(closer(model, e, f) for f in es)}

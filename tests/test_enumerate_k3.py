@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -5,6 +6,18 @@ import pytest
 from planewheel import edgeorder
 from planewheel import enumerate_k3 as ek
 from planewheel.partition import MODE_TREE, canonical_form, structural_audit, validate_spanning_trees
+from planewheel.wheelgeom import crossing_graph, wheel_tables
+
+
+def covered(pp):
+    """The coloured edges of a partial partition."""
+    return [e for e, c in zip(wheel_tables(pp.model).edges, pp.colors) if c != -1]
+
+
+def recolor(pp, e, c):
+    colors = list(pp.colors)
+    colors[wheel_tables(pp.model).index[e]] = c
+    return replace(pp, colors=tuple(colors))
 
 
 class TestPredictions:
@@ -33,19 +46,20 @@ class TestBaseConstruction:
         assert cases == {"1", "2a", "2b"}
 
     def test_base_classes_disjoint_and_plane(self):
-        from planewheel.wheelgeom import crossing_graph
-
         for pp in ek.base_partitions(5):
             cg = crossing_graph(pp.model)
-            for es in pp.classes:
-                edges = sorted(es)
+            classes = {}
+            for e, c in zip(cg.edges, pp.colors):
+                if c != -1:
+                    classes.setdefault(c, []).append(e)
+            for edges in classes.values():
                 for i, e in enumerate(edges):
                     for f in edges[i + 1 :]:
                         assert not cg.crosses(e, f), (pp.case, e, f)
 
     def test_base_covers_all_radials(self):
         for pp in ek.base_partitions(3):
-            radials = {e for e in pp.covered if e[0] == 0}
+            radials = {e for e in covered(pp) if e[0] == 0}
             assert radials == {(0, v) for v in range(1, 10)}
 
     def test_stage_transitions_enforced(self):
@@ -61,7 +75,7 @@ class TestBaseConstruction:
         from planewheel import edgeorder as eo
 
         ext = ek.extend_base(ek.base_partitions(3)[0])
-        covered_dists = {eo.dist(ext.model, e) for e in ext.covered if e[0] != 0}
+        covered_dists = {eo.dist(ext.model, e) for e in covered(ext) if e[0] != 0}
         assert {5, 4, 3} <= covered_dists
 
     def test_full_extension_bit_length(self):
@@ -74,12 +88,10 @@ class TestBaseConstruction:
     def test_extension_refuses_a_collision_or_a_gap(self):
         ext = ek.extend_base(ek.base_partitions(3)[0])
         # (1, 2) is a boundary edge, placed by the last level
-        taken = ek.PartialPartition(ext.model, ext.classes, ext.stage, ext.case, {**ext.covered, (1, 2): 0})
         with pytest.raises(ValueError, match=r"extension collision at \(1, 2\)"):
-            ek.extend_full(taken, (0, 0))
+            ek.extend_full(recolor(ext, (1, 2), 0), (0, 0))
         # a radial edge is no edge's child, so nothing covers it again
-        gap = {e: c for e, c in ext.covered.items() if e != (0, 1)}
-        gap = ek.PartialPartition(ext.model, ext.classes, ext.stage, ext.case, gap)
+        gap = recolor(ext, (0, 1), -1)
         with pytest.raises(ValueError, match="extension left 1 edges uncovered"):
             ek.extend_full(gap, (0, 0))
 

@@ -128,6 +128,15 @@ class TestPartitionType:
         with pytest.raises(ValueError, match="must be JSON integers"):
             Partition.from_json(obj)
 
+    def test_from_json_reads_m_up_to_the_edge_count(self, tree_partition):
+        obj = tree_partition.to_json()
+        n_edges = len(tree_partition.colors)
+        obj["m"] = n_edges
+        assert Partition.from_json(obj).m == n_edges
+        obj["m"] = n_edges + 1
+        with pytest.raises(ValueError, match=f"m must be at most the edge count {n_edges}, got {n_edges + 1}"):
+            Partition.from_json(obj)
+
     def test_json_roundtrip(self, tree_partition):
         again = Partition.from_json(tree_partition.to_json())
         assert again.color == tree_partition.color

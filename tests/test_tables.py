@@ -30,8 +30,10 @@ MODELS = [build_generalized_wheel(s) for s in wheel_matrix(11)] + [
 
 
 def scan_group(model, v):
-    for g in range(model.k, 0, -1):
-        if v >= model.group_start[g - 1]:
+    end = 0
+    for g, size in enumerate(model.sizes, 1):
+        end += size
+        if v <= end:
             return g
     raise AssertionError
 
@@ -105,14 +107,17 @@ def test_far_arc_dist_and_endpoints():
 
 
 def test_edge_kinds():
+    # dist carries the kind: a radial edge has no entry, a boundary edge
+    # distance 1, and the diagonals are exactly the keys of children
     for m in MODELS:
         t = wheel_tables(m)
         for e in m.edges():
             if e[0] == 0:
-                want = wheelgeom.RADIAL
+                assert e not in t.dist and e not in t.children, (label(m), e)
+            elif not walk_far_arc(m, e):
+                assert t.dist[e] == 1 and e not in t.children, (label(m), e)
             else:
-                want = wheelgeom.BOUNDARY if not walk_far_arc(m, e) else wheelgeom.DIAGONAL
-            assert t.kind[e] == want, (label(m), e)
+                assert t.dist[e] >= 2 and e in t.children, (label(m), e)
 
 
 def test_distance_children():
