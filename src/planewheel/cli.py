@@ -22,6 +22,7 @@ from .wheelgeom import (
     build_bumpy_wheel,
     build_generalized_wheel,
     realize_coordinates,
+    wheel_tables,
 )
 
 MODE_FLAGS = {
@@ -91,25 +92,25 @@ def _palette(m: int) -> list[str]:
     return out
 
 
-def render_svg(p: Partition, ps: PointSet, only_class: int | None = None) -> str:
-    """One SVG picture of p drawn on ps, the realization of its model."""
+def render_svg(p: Partition, ps: PointSet, palette: list[str], only_class: int | None = None) -> str:
+    """One SVG picture of p drawn on ps, the realization of its model, with
+    class c stroked in palette[c]."""
     size = 520
     cx = cy = size / 2
     scale = size * 0.45
     pts = [(cx + float(x) * scale, cy - float(y) * scale) for x, y in ps.points]
-    colors = _palette(p.m)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'<circle cx="{cx}" cy="{cy}" r="{scale}" fill="none" stroke="#ddd"/>',
     ]
-    for e, c in zip(p.model.edges(), p.colors):
+    for e, c in zip(wheel_tables(p.model).edges, p.colors):
         if only_class is not None and c != only_class:
             continue
         (x1, y1), (x2, y2) = pts[e[0]], pts[e[1]]
         lines.append(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-            f'stroke="{colors[c]}" stroke-width="1.4"/>'
+            f'stroke="{palette[c]}" stroke-width="1.4"/>'
         )
     for i, (x, y) in enumerate(pts):
         lines.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" fill="#222"/>')
@@ -170,11 +171,13 @@ def _cmd_enumerate(args) -> int:
         _write(args.output, json.dumps([p.to_json() for p in parts]))
     else:
         outdir = Path(args.output or ".")
-        ps = realize_coordinates(build_bumpy_wheel(args.k, 3))
+        model = build_bumpy_wheel(args.k, 3)
+        ps = realize_coordinates(model)
+        palette = _palette(model.n)  # every tree partition has n classes
         with _writing():
             outdir.mkdir(parents=True, exist_ok=True)
             for i, p in enumerate(parts):
-                (outdir / f"partition_{i:05d}.svg").write_text(render_svg(p, ps))
+                (outdir / f"partition_{i:05d}.svg").write_text(render_svg(p, ps, palette))
         print(f"wrote {len(parts)} SVG files to {outdir}")
     return 0
 
@@ -237,11 +240,12 @@ def _cmd_render(args) -> int:
     p = _load_partition(args.partition)
     out = Path(args.output or "partition.svg")
     ps = realize_coordinates(p.model)
+    palette = _palette(p.m)
     with _writing():
-        out.write_text(render_svg(p, ps))
+        out.write_text(render_svg(p, ps, palette))
         stem, parent = out.stem, out.parent
         for c in range(p.m):
-            (parent / f"{stem}_class{c}.svg").write_text(render_svg(p, ps, only_class=c))
+            (parent / f"{stem}_class{c}.svg").write_text(render_svg(p, ps, palette, only_class=c))
     print(f"wrote {out} and {p.m} per-class SVGs")
     return 0
 

@@ -194,11 +194,12 @@ class SpineCheck:
     edges: tuple[EdgeId, ...] = ()
 
 
-def is_spine_matching(model: WheelModel, matching: Matching, ps: Optional[PointSet] = None) -> SpineCheck:
+def is_spine_matching(matching: Matching, ps: Optional[PointSet] = None) -> SpineCheck:
     """A matching can be the spine set of a double-star partition iff no two
     of its edges are parallel and no cross-blocker triple exists (stabbing
-    chains would need a second interior point, impossible on wheels)."""
-    ps = ps or realize_coordinates(model)
+    chains would need a second interior point, impossible on wheels).  `ps`
+    is the realization of `matching.model`."""
+    ps = ps or realize_coordinates(matching.model)
     pairs = list(matching.pairs)
     for e, f in combinations(pairs, 2):
         if parallel(e, f, ps):
@@ -249,17 +250,17 @@ def tree_nonpartition_criterion(model: WheelModel) -> bool:
     return all(s < n - 2 for _, s in _families(model))
 
 
-def complete_double_stars(model: WheelModel, matching: Matching) -> Optional[Partition]:
-    """Extend a certified spine matching to a full double-star partition by
-    exact search with the spines pinned to distinct classes."""
-    check = is_spine_matching(model, matching)
+def complete_double_stars(matching: Matching) -> Optional[Partition]:
+    """Extend a certified spine matching to a full double-star partition of
+    its model by exact search with the spines pinned to distinct classes."""
+    check = is_spine_matching(matching)
     if not check.ok:
         raise ValueError(f"not a spine matching: {check.kind} at {check.edges}")
     from .solver import SolveConfig, solve
 
     cfg = SolveConfig(mode=MODE_DOUBLE_STAR)
     pre = [(e, c) for c, e in enumerate(sorted(matching.pairs))]
-    outcome = solve(model, cfg, preassigned=pre)
+    outcome = solve(matching.model, cfg, preassigned=pre)
     return outcome.witness if outcome.status == "SAT" else None
 
 

@@ -5,11 +5,10 @@ partitions, and isomorphism via canonical forms."""
 from __future__ import annotations
 
 import operator
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from types import MappingProxyType
 
 from . import edgeorder
 from .wheelgeom import EdgeId, WheelModel, WheelTables, edge, is_bumpy, wheel_tables
@@ -47,19 +46,6 @@ class Partition:
             if not _is_color(c, self.m):
                 raise ValueError(f"color must be an int in range({self.m}), got {c!r}")
 
-    @classmethod
-    def from_color_map(cls, model: WheelModel, m: int, color: Mapping[EdgeId, int]) -> "Partition":
-        """The partition colouring each edge (a, b), a < b, as the map says."""
-        t = wheel_tables(model)
-        if color.keys() != t.index.keys():
-            raise ValueError("color map must cover every edge exactly once")
-        return cls(model, m, operator.itemgetter(*t.edges)(color))
-
-    @cached_property
-    def color(self) -> Mapping[EdgeId, int]:
-        """A read-only edge -> colour view of `colors`."""
-        return MappingProxyType(dict(zip(wheel_tables(self.model).edges, self.colors)))
-
     @cached_property
     def _classes(self) -> tuple[tuple[EdgeId, ...], ...]:
         out: list[list[EdgeId]] = [[] for _ in range(self.m)]
@@ -71,10 +57,6 @@ class Partition:
         """The edges of each colour, in table edge order; built once, since a
         partition is frozen."""
         return self._classes
-
-    def __getstate__(self):
-        # the cached views are rebuilt on demand, and a mappingproxy does not pickle
-        return {"model": self.model, "m": self.m, "colors": self.colors}
 
     def to_json(self) -> dict:
         return {"model": self.model.to_json(), "m": self.m, "colors": list(self.colors)}
@@ -412,9 +394,3 @@ def canonical_form(p: Partition) -> bytes:
             best = cand
     assert best is not None
     return best
-
-
-def isomorphic(p1: Partition, p2: Partition) -> bool:
-    if p1.model != p2.model or p1.m != p2.m:
-        raise ValueError("partitions must share model and class count")
-    return canonical_form(p1) == canonical_form(p2)

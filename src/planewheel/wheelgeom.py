@@ -67,10 +67,6 @@ class WheelModel:
         s = 1 + sum(self.sizes[:g])
         return range(s, s + self.sizes[g])
 
-    def edges(self) -> list[EdgeId]:
-        """All edges of the complete graph, in lexicographic order."""
-        return list(wheel_tables(self).edges)
-
     def far_arc(self, e: EdgeId) -> list[int]:
         """Hull vertices strictly inside the arc on the far side of a
         non-radial edge (the side away from the center vertex).

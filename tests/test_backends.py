@@ -21,7 +21,7 @@ from planewheel._core import BACKEND, backends, ckernel, search_py
 from planewheel.doublestar import is_spine_matching, potential_matching
 from planewheel.partition import MODE_DOUBLE_STAR, MODE_SUBGRAPH, MODE_TREE
 from planewheel.solver import SolveConfig, solve
-from planewheel.wheelgeom import build_bumpy_wheel, build_generalized_wheel
+from planewheel.wheelgeom import build_bumpy_wheel, build_generalized_wheel, wheel_tables
 
 # The 45, 120 and 231 edges of BW_{3,3}, BW_{3,5} and BW_{3,7} (5, 8 and 11
 # colours) take 1, 2 and 4 64-bit words per row in kernel.c, and 270, 1080 and
@@ -154,7 +154,7 @@ def assert_same(ref, out):
     if ref.witness is None:
         assert out.witness is None
     else:
-        assert out.witness.color == ref.witness.color
+        assert out.witness.colors == ref.witness.colors
 
 
 @pytest.mark.parametrize("model,mode,cfg", INSTANCES)
@@ -173,7 +173,7 @@ def test_backends_agree_preassigned(compiled_search, sizes, spine, status):
     passes a certified spine matching to `solve`."""
     model = build_generalized_wheel(list(sizes))
     matching = potential_matching(model, 1)
-    assert is_spine_matching(model, matching).ok == spine
+    assert is_spine_matching(matching).ok == spine
     pre = [(e, c) for c, e in enumerate(sorted(matching.pairs))]
     ref = run_with(search_py.search, model, MODE_DOUBLE_STAR, preassigned=pre)
     assert_same(ref, run_with(compiled_search, model, MODE_DOUBLE_STAR, preassigned=pre))
@@ -192,15 +192,16 @@ def test_backends_agree_partial_preassignment(compiled_search, all_solutions, no
     assert_same(ref, out)
     assert ref.status == "SAT" and ref.stats["nodes"] == nodes
     found = ref.solutions if all_solutions else [ref.witness]
-    assert len(found) == count and all(p.color[(1, 6)] == 2 for p in found)
+    i = wheel_tables(model).index[(1, 6)]
+    assert len(found) == count and all(p.colors[i] == 2 for p in found)
     if all_solutions:
-        assert [p.color for p in ref.solutions] == [p.color for p in out.solutions]
+        assert [p.colors for p in ref.solutions] == [p.colors for p in out.solutions]
 
 
 def test_backends_agree_all_solutions(compiled_search):
     model = build_bumpy_wheel(3, 3)
     sols = [
-        [tuple(sorted(p.color.items())) for p in run_with(fn, model, MODE_TREE, all_solutions=True).solutions]
+        [p.colors for p in run_with(fn, model, MODE_TREE, all_solutions=True).solutions]
         for fn in (search_py.search, compiled_search)
     ]
     assert sols[0] == sols[1]
@@ -223,4 +224,4 @@ def test_backends_agree_on_the_atlas(compiled_search):
                             for fn in (search_py.search, compiled_search))
                 assert_same(ref, out)
                 if all_solutions:
-                    assert [p.color for p in ref.solutions] == [p.color for p in out.solutions], (sizes, mode)
+                    assert [p.colors for p in ref.solutions] == [p.colors for p in out.solutions], (sizes, mode)

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import re
 import weakref
 
 import pytest
@@ -48,8 +50,9 @@ def test_solve_refuses_an_invalid_witness(tmp_path, capsys, monkeypatch):
         out = real(model, cfg, **kwargs)
         # a hull edge crosses nothing; moved into class 0, a spanning tree, it closes a cycle
         t = wheelgeom.wheel_tables(model)
-        e = next(e for e in t.edges if t.dist.get(e) == 1 and out.witness.color[e] != 0)
-        out.witness = Partition.from_color_map(model, out.witness.m, {**out.witness.color, e: 0})
+        w = out.witness
+        i = next(i for i, e in enumerate(t.edges) if t.dist.get(e) == 1 and w.colors[i] != 0)
+        out.witness = dataclasses.replace(w, colors=w.colors[:i] + (0,) + w.colors[i + 1 :])
         return out
 
     monkeypatch.setattr(solver, "solve", with_cycle)
@@ -313,24 +316,37 @@ def test_render(tmp_path, capsys):
     one.write_text(json.dumps(json.loads(parts.read_text())[0]))
     svg = tmp_path / "picture.svg"
     assert run(["render", str(one), "-o", str(svg)]) == 0
-    assert svg.exists()
     assert len(list(tmp_path.glob("picture_class*.svg"))) == 5
-    assert "<svg" in svg.read_text()
+    p = Partition.from_json(json.loads(one.read_text()))
+    text = svg.read_text()
+    assert text.startswith("<svg") and text.count("<line") == len(p.colors) == 45
+    palette = cli._palette(p.m)
+    for c, es in enumerate(p.classes()):
+        text = (tmp_path / f"picture_class{c}.svg").read_text()
+        assert text.count("<line") == len(es)
+        assert set(re.findall(r'<line [^>]*stroke="([^"]+)"', text)) == {palette[c]}
 
 
 @pytest.mark.parametrize("command", ["enumerate", "render"])
 def test_svg_output_realizes_the_model_once(tmp_path, monkeypatch, command):
-    calls = []
+    # and builds the palette once, not once per picture
+    calls, palettes = [], []
 
     def counted(model):
         calls.append(model)
         return wheelgeom.realize_coordinates(model)
 
+    def counted_palette(m):
+        palettes.append(m)
+        return real_palette(m)
+
     parts = tmp_path / "parts.json"
     run(["enumerate", "--k", "3", "--emit", "json", "-o", str(parts)])
     one = tmp_path / "one.json"
     one.write_text(json.dumps(json.loads(parts.read_text())[0]))
+    real_palette = cli._palette
     monkeypatch.setattr(cli, "realize_coordinates", counted)
+    monkeypatch.setattr(cli, "_palette", counted_palette)
     if command == "enumerate":
         assert run(["enumerate", "--k", "3", "--emit", "svg", "-o", str(tmp_path / "svg")]) == 0
         assert len(list((tmp_path / "svg").glob("*.svg"))) == 20
@@ -338,6 +354,7 @@ def test_svg_output_realizes_the_model_once(tmp_path, monkeypatch, command):
         assert run(["render", str(one), "-o", str(tmp_path / "picture.svg")]) == 0
         assert len(list(tmp_path.glob("picture*.svg"))) == 6
     assert calls == [wheelgeom.build_bumpy_wheel(3, 3)]
+    assert palettes == [5]
 
 
 def test_render_into_a_missing_directory_rejected(tmp_path, capsys):

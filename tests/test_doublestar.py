@@ -14,6 +14,7 @@ from planewheel.wheelgeom import (
     edge,
     realize_coordinates,
     segments_cross,
+    wheel_tables,
 )
 
 # the 391 generalized wheels with k in {3, 5} and hull size at most 11
@@ -155,12 +156,12 @@ class TestMatchings:
             ds.Matching(model=bw33, pairs=((0, 1), (2, 3)))
 
     def test_spine_matching_on_regular_wheel(self, regular9):
-        ok = [v for v in range(1, 10) if ds.is_spine_matching(regular9, ds.potential_matching(regular9, v)).ok]
+        ok = [v for v in range(1, 10) if ds.is_spine_matching(ds.potential_matching(regular9, v)).ok]
         assert ok  # some rotation admits a spine matching
 
     def test_no_spine_matching_on_bw33(self, bw33):
         for v in range(1, 10):
-            chk = ds.is_spine_matching(bw33, ds.potential_matching(bw33, v))
+            chk = ds.is_spine_matching(ds.potential_matching(bw33, v))
             assert not chk.ok
             assert chk.kind in ("parallel", "cross_blocker")
 
@@ -181,7 +182,7 @@ class TestMatchings:
             ps = realize_coordinates(model)
             for v in range(1, model.hull_count + 1):
                 e = edge(ps.interior_index, v)
-                rest = [f for f in model.edges() if not set(f) & set(e)]
+                rest = [f for f in wheel_tables(model).edges if not set(f) & set(e)]
                 for f, g in combinations(rest, 2):
                     assert ds.cross_blocker(e, f, g, ps) == reference(e, f, g, ps), (sizes, e, f, g)
         assert set(centre_inside) == {True, False}
@@ -189,9 +190,9 @@ class TestMatchings:
     def test_complete_double_stars(self, regular9):
         for v in range(1, 10):
             matching = ds.potential_matching(regular9, v)
-            if not ds.is_spine_matching(regular9, matching).ok:
+            if not ds.is_spine_matching(matching).ok:
                 continue
-            p = ds.complete_double_stars(regular9, matching)
+            p = ds.complete_double_stars(matching)
             assert p is not None
             assert validate_double_stars(p).ok
             extracted = ds.spine_matching_of(p)
@@ -202,7 +203,7 @@ class TestMatchings:
 
     def test_complete_rejects_uncertified(self, bw33):
         with pytest.raises(ValueError):
-            ds.complete_double_stars(bw33, ds.potential_matching(bw33, 1))
+            ds.complete_double_stars(ds.potential_matching(bw33, 1))
 
 
 class TestGeometricObstructions:
@@ -257,12 +258,13 @@ class TestCriteria:
             model = build_generalized_wheel(list(sizes))
             ps = realize_coordinates(model)
             matchings = (ds.potential_matching(model, v) for v in range(1, model.hull_count + 1))
-            spines = [m for m in matchings if ds.is_spine_matching(model, m, ps).ok]
+            spines = [m for m in matchings if ds.is_spine_matching(m, ps).ok]
             assert bool(spines) != ds.criterion_small_families(model), sizes
+            index = wheel_tables(model).index
             for m in spines:
-                p = ds.complete_double_stars(model, m)
+                p = ds.complete_double_stars(m)
                 assert p is not None and validate_double_stars(p).ok, (sizes, m.pairs)
-                assert len({p.color[e] for e in m.pairs}) == model.n, (sizes, m.pairs)
+                assert len({p.colors[index[e]] for e in m.pairs}) == model.n, (sizes, m.pairs)
             certified += len(spines)
         assert len(ATLAS) == 391 and certified == 490
 

@@ -126,7 +126,7 @@ class TestDistanceStructure:
             eo.distance_children(bw33, (1, 2))
 
     def test_children_stay_in_far_region(self, bw53):
-        for e in bw53.edges():
+        for e in wheel_tables(bw53).edges:
             if e[0] == 0 or eo.dist(bw53, e) < 2:
                 continue
             for child in eo.distance_children(bw53, e):

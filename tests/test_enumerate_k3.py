@@ -126,11 +126,11 @@ class TestEnumeration:
         # the shared-prefix walk yields, in order, exactly the single-path
         # extension of every base by every bit string
         want = [
-            list(ek.extend_full(ek.extend_base(b), bits).color.items())
+            ek.extend_full(ek.extend_base(b), bits).colors
             for b in ek.base_partitions(k)
             for bits in product((0, 1), repeat=ek.choice_length(k))
         ]
-        assert [list(p.color.items()) for p in ek.enumerate_all(k)] == want
+        assert [p.colors for p in ek.enumerate_all(k)] == want
 
     def test_children_computed_once_per_prefix(self, monkeypatch):
         calls = []

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import random
 
@@ -13,7 +14,6 @@ from planewheel.partition import (
     MODE_TREE,
     Partition,
     canonical_form,
-    isomorphic,
     structural_audit,
     validate_double_stars,
     validate_plane_partition,
@@ -35,7 +35,7 @@ def recolor(p: Partition, mapping) -> Partition:
 
 def with_color(model, e, c) -> tuple:
     """Colour 0 on every edge but e, which gets c."""
-    colors = [0] * len(model.edges())
+    colors = [0] * len(wheel_tables(model).edges)
     colors[wheel_tables(model).index[e]] = c
     return tuple(colors)
 
@@ -45,10 +45,10 @@ COVER = "color map must cover every edge exactly once"
 
 class TestPartitionType:
     def test_totality_enforced(self, bw33):
-        colors = {e: 0 for e in bw33.edges()}
-        colors.pop((0, 1))
+        colors = list(with_color(bw33, (0, 1), 0))
+        del colors[wheel_tables(bw33).index[(0, 1)]]
         with pytest.raises(ValueError, match=COVER):
-            Partition.from_color_map(bw33, 5, colors)
+            Partition(model=bw33, m=5, colors=tuple(colors))
 
     def test_color_range_enforced(self, bw33):
         with pytest.raises(ValueError):
@@ -62,7 +62,7 @@ class TestPartitionType:
 
     def test_colors_from_256_are_checked_one_by_one(self, bw33):
         # bytes hold colours below 256 only; larger m takes the per-colour check
-        colors = [300 if e[0] == 0 else 0 for e in bw33.edges()]
+        colors = [300 if e[0] == 0 else 0 for e in wheel_tables(bw33).edges]
         p = Partition(model=bw33, m=301, colors=tuple(colors))
         assert [len(es) for es in p.classes()].count(9) == 1
         assert canonical_form(p) == percall_canonical_form(p)
@@ -81,10 +81,6 @@ class TestPartitionType:
         p = tree_partition
         edges = wheel_tables(p.model).edges
         assert type(p.colors) is tuple and len(p.colors) == len(edges)
-        assert p.color == dict(zip(edges, p.colors))
-        assert list(p.color) == list(edges)
-        with pytest.raises(TypeError):
-            p.color[edges[0]] = 1
 
     def test_colors_must_be_a_tuple_with_one_entry_per_edge(self, tree_partition):
         p = tree_partition
@@ -92,30 +88,20 @@ class TestPartitionType:
             with pytest.raises(ValueError, match=COVER):
                 Partition(model=p.model, m=p.m, colors=bad)
 
-    def test_from_color_map(self, tree_partition, bw33):
-        p = tree_partition
-        assert Partition.from_color_map(p.model, p.m, p.color) == p
-        missing = dict(p.color)
-        del missing[(3, 7)]
-        extra = {**p.color, (0, 10): 0}
-        swapped = dict(p.color)
-        swapped[(7, 3)] = swapped.pop((3, 7))
-        for bad in (missing, extra, swapped):
-            with pytest.raises(ValueError, match=COVER):
-                Partition.from_color_map(bw33, 5, bad)
-
     def test_classes_built_once(self, tree_partition):
         p = tree_partition
         assert p.classes() is p.classes()
         assert type(p.classes()) is tuple and all(type(es) is tuple for es in p.classes())
-        edges = p.model.edges()
-        assert [list(es) for es in p.classes()] == [[e for e in edges if p.color[e] == c] for c in range(p.m)]
+        edges = wheel_tables(p.model).edges
+        assert [list(es) for es in p.classes()] == [
+            [e for e, ce in zip(edges, p.colors) if ce == c] for c in range(p.m)
+        ]
 
     def test_pickles_after_cached_views(self, tree_partition):
         p = tree_partition
-        p.color, p.classes()
+        p.classes()
         again = pickle.loads(pickle.dumps(p))
-        assert again == p and again.color == p.color and again.classes() == p.classes()
+        assert again == p and again.colors == p.colors and again.classes() == p.classes()
 
     @pytest.mark.parametrize("field,bad", [("colors", 1.5), ("colors", "2"), ("colors", True), ("m", "5"), ("m", 5.0)])
     def test_from_json_refuses_non_integers(self, tree_partition, field, bad):
@@ -139,12 +125,12 @@ class TestPartitionType:
 
     def test_json_roundtrip(self, tree_partition):
         again = Partition.from_json(tree_partition.to_json())
-        assert again.color == tree_partition.color
+        assert again.colors == tree_partition.colors
         assert again.m == tree_partition.m
 
     def test_classes_cover_all_edges(self, tree_partition):
         total = sum(len(c) for c in tree_partition.classes())
-        assert total == len(tree_partition.model.edges())
+        assert total == len(wheel_tables(tree_partition.model).edges)
 
 
 class TestValidators:
@@ -158,19 +144,18 @@ class TestValidators:
 
     def test_crossing_pair_detected(self, bw33):
         # everything in one class: the class contains crossing edges
-        colors = {e: 0 for e in bw33.edges()}
-        colors[(0, 1)] = 1
-        colors[(0, 2)] = 2
-        colors[(0, 3)] = 3
-        colors[(0, 4)] = 4
-        p = Partition.from_color_map(bw33, 5, colors)
+        index = wheel_tables(bw33).index
+        colors = [0] * len(index)
+        for v in range(1, 5):
+            colors[index[(0, v)]] = v
+        p = Partition(model=bw33, m=5, colors=tuple(colors))
         rep = validate_plane_partition(p)
         assert not rep.ok
         assert "crossing" in rep.violations[0]
 
     def test_star_is_not_valid_tree_class(self, bw33):
         # radial star is plane and spanning but the rest cannot all be trees
-        colors = tuple(0 if e[0] == 0 else 1 + (e[0] + e[1]) % 4 for e in bw33.edges())
+        colors = tuple(0 if e[0] == 0 else 1 + (e[0] + e[1]) % 4 for e in wheel_tables(bw33).edges)
         p = Partition(model=bw33, m=5, colors=colors)
         assert not validate_spanning_trees(p).ok
 
@@ -184,7 +169,12 @@ class TestValidators:
             [(0, 7), (1, 8), (2, 7), (2, 8), (3, 4), (3, 5), (3, 6), (3, 7), (8, 9)],
             [(0, 9), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (6, 7), (6, 8), (6, 9)],
         ]
-        p = Partition.from_color_map(bw33, 5, {e: c for c, es in enumerate(classes) for e in es})
+        index = wheel_tables(bw33).index
+        colors = [None] * len(index)
+        for c, es in enumerate(classes):
+            for e in es:
+                colors[index[e]] = c
+        p = Partition(model=bw33, m=5, colors=tuple(colors))
         rep = validate_spanning_trees(p)
         tree = {"plane": True, "size_2n_minus_1": True, "connected": True, "spanning": True, "acyclic": True}
         assert rep.class_flags == [
@@ -223,12 +213,12 @@ class TestAudits:
     def test_audit_flags_corrupted_partition(self, tree_partition):
         # swap two classes on a pair of edges to break the tree structure
         p = tree_partition
-        es = p.model.edges()
-        e1 = next(e for e in es if p.color[e] == 0 and e[0] != 0)
-        e2 = next(e for e in es if p.color[e] == 1 and e[0] != 0)
-        colors = dict(p.color)
-        colors[e1], colors[e2] = colors[e2], colors[e1]
-        corrupted = Partition.from_color_map(p.model, p.m, colors)
+        es = wheel_tables(p.model).edges
+        i1 = next(i for i, e in enumerate(es) if p.colors[i] == 0 and e[0] != 0)
+        i2 = next(i for i, e in enumerate(es) if p.colors[i] == 1 and e[0] != 0)
+        colors = list(p.colors)
+        colors[i1], colors[i2] = colors[i2], colors[i1]
+        corrupted = dataclasses.replace(p, colors=tuple(colors))
         assert not (
             validate_spanning_trees(corrupted).ok
             and structural_audit(corrupted, MODE_TREE).ok
@@ -261,32 +251,28 @@ class TestIsomorphism:
         rng = random.Random(3)
         perm = list(range(tree_partition.m))
         rng.shuffle(perm)
-        assert isomorphic(tree_partition, recolor(tree_partition, perm))
+        assert canonical_form(tree_partition) == canonical_form(recolor(tree_partition, perm))
 
     def test_rotation_is_isomorphic(self, tree_partition):
         p = tree_partition
-        perm = wheel_tables(p.model).symmetries[1]  # rotations come first
+        t = wheel_tables(p.model)
+        perm = t.symmetries[1]  # rotations come first
         rotated = Partition(
             model=p.model,
             m=p.m,
-            colors=tuple(p.color[edge(perm[e[0]], perm[e[1]])] for e in p.model.edges()),
+            colors=tuple(p.colors[t.index[edge(perm[a], perm[b])]] for a, b in t.edges),
         )
-        assert isomorphic(p, rotated)
+        assert canonical_form(p) == canonical_form(rotated)
 
         def renumbered(q):
             remap = {}
-            return [remap.setdefault(q.color[e], len(remap)) for e in q.model.edges()]
+            return [remap.setdefault(c, len(remap)) for c in q.colors]
 
-        assert renumbered(p) != renumbered(rotated) or p.color == rotated.color
+        assert renumbered(p) != renumbered(rotated) or p.colors == rotated.colors
 
     def test_enumerator_output_pairwise_distinct(self):
         forms = [canonical_form(p) for p in enumerate_k3.enumerate_all(3)]
         assert len(forms) == len(set(forms)) == 20
-
-    def test_model_mismatch_rejected(self, tree_partition, bw35):
-        other = solve(bw35, SolveConfig(mode=MODE_SUBGRAPH)).witness
-        with pytest.raises(ValueError):
-            isomorphic(tree_partition, other)
 
 
 @settings(max_examples=25, deadline=None)
@@ -296,13 +282,14 @@ def test_property_canonical_form_invariant(seed):
     rng = random.Random(seed)
     parts = list(enumerate_k3.enumerate_all(3))
     p = rng.choice(parts)
-    perm = rng.choice(wheel_tables(p.model).symmetries)
+    t = wheel_tables(p.model)
+    perm = rng.choice(t.symmetries)
     cmap = list(range(p.m))
     rng.shuffle(cmap)
     q = Partition(
         model=p.model,
         m=p.m,
-        colors=tuple(cmap[p.color[edge(perm[e[0]], perm[e[1]])]] for e in p.model.edges()),
+        colors=tuple(cmap[p.colors[t.index[edge(perm[a], perm[b])]]] for a, b in t.edges),
     )
     assert canonical_form(p) == canonical_form(q)
 
@@ -323,9 +310,10 @@ def percall_symmetries(model):
 
 
 def percall_canonical_form(p):
+    t = wheel_tables(p.model)
     best = None
     for perm in percall_symmetries(p.model):
-        colors = [p.color[edge(perm[a], perm[b])] for a, b in p.model.edges()]
+        colors = [p.colors[t.index[edge(perm[a], perm[b])]] for a, b in t.edges]
         remap = {}
         cand = bytes(remap.setdefault(c, len(remap)) for c in colors)
         if best is None or cand < best:

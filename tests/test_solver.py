@@ -14,7 +14,7 @@ from planewheel.partition import (
     validate_spanning_trees,
 )
 from planewheel.solver import SolveConfig, decide_theorem, export_lp, max_crossing_family, solve
-from planewheel.wheelgeom import build_bumpy_wheel, build_generalized_wheel, crossing_graph
+from planewheel.wheelgeom import build_bumpy_wheel, build_generalized_wheel, crossing_graph, wheel_tables
 
 VERDICT_KEY = {MODE_SUBGRAPH: "subgraph", MODE_TREE: "tree", MODE_DOUBLE_STAR: "double_star"}
 
@@ -177,7 +177,7 @@ class TestSolve:
         e = (1, 6)
         out = solve(bw33, SolveConfig(mode=MODE_TREE), preassigned=[(e, 2)])
         assert out.status == "SAT"
-        assert out.witness.color[e] == 2
+        assert out.witness.colors[wheel_tables(bw33).index[e]] == 2
 
     @pytest.mark.parametrize(
         "preassigned",

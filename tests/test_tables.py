@@ -111,7 +111,7 @@ def test_edge_kinds():
     # distance 1, and the diagonals are exactly the keys of children
     for m in MODELS:
         t = wheel_tables(m)
-        for e in m.edges():
+        for e in t.edges:
             if e[0] == 0:
                 assert e not in t.dist and e not in t.children, (label(m), e)
             elif not walk_far_arc(m, e):
@@ -144,7 +144,7 @@ def test_opposite_pairs():
 
 def test_crossings():
     for m in MODELS:
-        es = m.edges()
+        es = wheel_tables(m).edges
         arcs = {e: set(walk_far_arc(m, e)) for e in non_radial(m)}
         want = set()
         want_rows = [0] * len(es)

@@ -44,7 +44,7 @@ class TestModel:
         assert bw33.group_of(1) == 1 and bw33.group_of(9) == 3
 
     def test_edge_count(self, bw33):
-        assert len(bw33.edges()) == 45
+        assert len(wheel_tables(bw33).edges) == 45
 
     @pytest.mark.parametrize("k,ell", [(2, 3), (3, 2), (1, 3), (3, -1)])
     def test_bumpy_rejects_bad_parameters(self, k, ell):
@@ -132,7 +132,7 @@ class TestCrossing:
 
         pairs = crossing_graph(bw33).crossing_pairs()
         radial = [p for p in pairs if p[0][0] == 0 or p[1][0] == 0]
-        expected = sum(dist(bw33, e) - 1 for e in bw33.edges() if e[0] != 0)
+        expected = sum(dist(bw33, e) - 1 for e in wheel_tables(bw33).edges if e[0] != 0)
         assert len(radial) == expected
 
     def test_crossing_graph_symmetric_irreflexive(self, bw33):
